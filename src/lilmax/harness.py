@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -317,11 +318,22 @@ def record_row(index: int, rec: StatRecord) -> str:
 
 
 def write_records_csv(records: Sequence[StatRecord], path: str) -> None:
-    """Deterministic CSV: fixed header, repr floats, LF endings, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for index, rec in enumerate(records):
-            fh.write(record_row(index, rec) + "\n")
+    """Deterministic CSV: fixed header, repr floats, LF endings, UTF-8.
+
+    Written to ``<path>.tmp`` and renamed over ``path``, so a failed write
+    leaves any previous file intact and no partial file behind.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for index, rec in enumerate(records):
+                fh.write(record_row(index, rec) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_records_csv(path: str) -> list[dict]:
@@ -383,8 +395,6 @@ def run_and_persist(
     reference: Optional[ECDF] = None,
 ) -> tuple[list[StatRecord], dict]:
     """Run one experiment, write ``<name>.csv``, append to ``summary.jsonl``."""
-    import os
-
     start = time.perf_counter()
     records = run_experiment(cfg, threads=threads)
     runtime = time.perf_counter() - start

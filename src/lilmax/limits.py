@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ._special import normal_sf, reg_gamma_upper
 from .iterlog import iterlog
+from .models import gaussian_iso, prob_tail
 
 __all__ = [
     "GumbelLaw",
@@ -135,12 +135,8 @@ def chi_norm_tail(d: int, t):
         raise ValueError("level must be nonnegative")
     if d == 2:
         out = np.exp(-0.5 * t * t)
-    elif d == 1:
-        out = 2.0 * np.vectorize(normal_sf)(t)
-    else:
-        out = np.vectorize(lambda x: reg_gamma_upper(d / 2.0, 0.5 * x * x))(t)
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+        return float(out) if out.ndim == 0 else out
+    return prob_tail(gaussian_iso(d), t)
 
 
 @dataclass(frozen=True)

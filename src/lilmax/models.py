@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import erfc, gammainc, gammaincc
 
-from ._special import reg_gamma_lower, reg_gamma_upper
 from .iterlog import iterlog
 from .psdmat import MAX_DIM, SymPSD
 
@@ -376,32 +376,23 @@ def _cube_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_trunc_scalar(d: int, t: float) -> float:
-    """a(t) = P((d+2)/2, t^2/2), the regularized lower incomplete gamma."""
-    if t <= 0.0:
-        return 0.0
-    return reg_gamma_lower(0.5 * (d + 2), 0.5 * t * t)
-
-
 def _gauss_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
+    """a(t) = P((d+2)/2, t^2/2), the regularized lower incomplete gamma."""
     # The closed erf/expm1 rearrangements for d = 1, 2 subtract two terms
     # that agree to machine precision once t < 1e-5, leaving rounding noise
-    # that is not monotone in t; the series form of the incomplete gamma
-    # has no subtraction, so every dimension routes through it.
-    t = np.asarray(t, dtype=float)
-    flat = np.ravel(t)
-    res = np.fromiter((_gauss_trunc_scalar(d, float(v)) for v in flat), dtype=float, count=flat.size)
-    return res.reshape(np.shape(t))
+    # that is not monotone in t; the incomplete gamma has no subtraction, so
+    # every dimension routes through it.  t^2/2 overflowing to inf gives 1.
+    with np.errstate(over="ignore"):
+        return gammainc(0.5 * (d + 2), 0.5 * t * t)
 
 
 def _gauss_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    flat = np.ravel(t)
-    res = np.fromiter(
-        (reg_gamma_upper(0.5 * d, 0.5 * float(v) * float(v)) if v > 0 else 1.0 for v in flat),
-        dtype=float, count=flat.size,
-    )
-    return res.reshape(np.shape(t))
+    """P{|X| > t} = Q(d/2, t^2/2); d = 1 takes erfc, which is closer to the
+    exact folded normal tail than Q(1/2, .) is."""
+    if d == 1:
+        return erfc(t / math.sqrt(2.0))
+    with np.errstate(over="ignore"):
+        return gammaincc(0.5 * d, 0.5 * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +427,6 @@ def truncated_second_moment(law: IncrementLaw, t: float) -> SymPSD:
     fam = law.family
     if fam == "uniform_cube":
         a_t = _cube_trunc_scalar(law.d, float(t))
-    elif fam == "gaussian_iso":
-        a_t = _gauss_trunc_scalar(law.d, float(t))
     else:
         a_t = float(radial_profile(law, float(t)))
     return SymPSD.scaled_identity(law.d, a_t)

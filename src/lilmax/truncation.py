@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -253,7 +254,7 @@ class GammaSequence:
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
     held piecewise constant) beyond.  Built once, then shared across worker
-    threads without locking.
+    threads without locking; so is Feller's B_k, lazily, in ``feller_bn``.
     """
 
     def __init__(
@@ -431,6 +432,18 @@ class GammaSequence:
         mats = np.stack([self._gamma_invs[i].entries for i in np.unique(idx)])
         remap = np.searchsorted(np.unique(idx), idx)
         return np.einsum("kij,kj->ki", mats[remap], rows)
+
+    @cached_property
+    def feller_bn(self) -> np.ndarray:
+        """Read-only B_1..B_{n_max} from ``feller_bn_prefix``, built on first use.
+
+        Levels floor at the scheme's n0, not at this sequence's ``n0``: a
+        higher floor would change the statistic.  Threads racing on the first
+        access build identical arrays.
+        """
+        bn = feller_bn_prefix(self.law, self.scheme, self.n_max)
+        bn.setflags(write=False)
+        return bn
 
     def checkpoint_view(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, levels) of the cache; read-only diagnostics."""

@@ -16,7 +16,10 @@ Statistic modes
 with the max always over the full range k = 1..n: the index floor n0 acts
 through the levels c_{k v n0} (every Gamma_k is invertible), not by
 excluding early terms, which keeps the classical and self-normalized modes
-exactly identical whenever Gamma_k is the identity.
+exactly identical whenever Gamma_k is the identity.  Self_normalized floors
+at ``GammaSequence.n0``; feller reads B_k from ``GammaSequence.feller_bn``,
+which floors at the scheme's n0 (1 for ``sqrt_n``): a higher floor would
+change the statistic.
 
 The slower-growing supremum statistic over k >= n and the boundary-crossing
 counter complete the set.  Ties in any argmax resolve to the smallest index
@@ -32,8 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .iterlog import iterlog, lil_sup_normalizer, normalizers
-from .models import IncrementLaw, law_id, radial_profile, sample
-from .truncation import GammaSequence, c_levels, scheme_id
+# radial_profile and c_levels stay imported: perfbench/tracing.py patches them here.
+from .models import IncrementLaw, law_id, radial_profile, sample  # noqa: F401
+from .truncation import GammaSequence, c_levels, scheme_id  # noqa: F401
 
 BLOCK = 32768
 
@@ -194,12 +198,14 @@ def de_statistic(
         if gs is None:
             raise ValueError(f"mode {mode!r} requires a normalizer sequence")
         _check_gs(traj, gs)
-        if mode == "feller" and d != 1:
-            raise ValueError("feller mode is defined for d = 1")
+        if mode == "feller":
+            if d != 1:
+                raise ValueError("feller mode is defined for d = 1")
+            if gs.feller_bn[0] <= 0.0:
+                raise ValueError("running variance is 0: truncation level below all mass")
 
     best = -np.inf
     best_k = 1
-    b_carry = 0.0
     carry = _CompensatedCarry(d)
     for off, block in _iter_blocks(traj):
         s_rows = carry.partials(block)
@@ -211,12 +217,8 @@ def de_statistic(
             norms = np.linalg.norm(gs.inv_apply(ks, s_rows), axis=1)
             ratios = norms / np.sqrt(ks)
         else:
-            b_vals = b_carry + np.cumsum(radial_profile(gs.law, c_levels(gs.scheme, ks)))
-            if b_vals[0] <= 0.0:
-                raise ValueError("running variance is 0: truncation level below all mass")
-            b_carry = float(b_vals[-1])
             norms = np.abs(s_rows[:, 0])
-            ratios = norms / np.sqrt(b_vals)
+            ratios = norms / np.sqrt(gs.feller_bn[off : off + len(block)])
         i = int(np.argmax(ratios))
         if ratios[i] > best:
             best = float(ratios[i])

@@ -342,6 +342,18 @@ def test_csv_bytes_identical_across_runs(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_failed_write_keeps_previous_file(tmp_path):
+    recs = run_experiment(_cfg(replications=2))
+    path = tmp_path / "out.csv"
+    write_records_csv(recs, str(path))
+    before = path.read_bytes()
+    # the second row cannot be formatted, after the header and one row went out
+    with pytest.raises(AttributeError):
+        write_records_csv([recs[0], None], str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
 def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("alpha,beta\n1,2\n", encoding="utf-8")

@@ -203,6 +203,17 @@ def test_feller_gaussian_frozen_oracle():
     assert got == pytest.approx(1.9732520324077197859, rel=1e-14)
 
 
+def test_feller_bn_floors_at_scheme_n0():
+    # feller levels use the scheme's n0 (1 for sqrt_n), not GammaSequence.n0
+    law = M.gaussian_iso(1)
+    gs = T.GammaSequence(law, T.sqrt_n(), 100)
+    assert gs.n0 == 12
+    assert gs.feller_bn[0] == M.radial_profile(law, 1.0)
+    np.testing.assert_array_equal(gs.feller_bn, T.feller_bn_prefix(law, T.sqrt_n(), 100))
+    assert not gs.feller_bn.flags.writeable
+    assert gs.feller_bn is gs.feller_bn
+
+
 def test_feller_empty_sum_and_dimension_gate():
     assert T.feller_bn(M.gaussian_iso(1), T.sqrt_n(), 0) == 0.0
     with pytest.raises(ValueError):
@@ -220,6 +231,7 @@ def test_default_n0_values():
     cases = [
         (M.gaussian_iso(1), 12),
         (M.gaussian_iso(2), 15),
+        (M.gaussian_iso(3), 18),
         (M.uniform_cube(1), 3),
         (M.uniform_cube(2), 6),
         (M.rademacher_product(1), 1),
@@ -230,6 +242,7 @@ def test_default_n0_values():
         gs = T.GammaSequence(law, T.sqrt_n(), 10**5)
         assert gs.n0 == want, M.law_id(law)
         assert gs.jump_residual <= T.JUMP_BUDGET or law.family == "atom_ladder"
+    assert T.GammaSequence(M.gaussian_iso(1), T.sqrt_n_invLL5(), 10**5).n0 == 1
 
 
 def test_ladder_jump_bookkeeping():

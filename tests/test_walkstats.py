@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lilmax.iterlog import iterlog, lil_sup_normalizer, normalizers
 from lilmax.models import gaussian_iso, rademacher_product, sample, uniform_cube
-from lilmax.truncation import GammaSequence, sqrt_n, table_scheme
+from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
 from lilmax.walkstats import (
     BLOCK,
     CrossingRecord,
@@ -47,6 +47,10 @@ class _ScaledGamma:
 
     def inv_apply(self, ns, rows):
         return np.asarray(rows, dtype=float) / self._lam
+
+    @property
+    def feller_bn(self):
+        return feller_bn_prefix(self.law, self.scheme, self.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,26 @@ def test_feller_equals_classical_for_unit_variance_steps():
     cl = de_statistic(traj, gs, "classical")
     assert fe.value == cl.value
     assert fe.argmax_k == cl.argmax_k
+
+
+def test_feller_across_blocks_matches_two_pass():
+    """Past one block, feller mode equals |S_k| / sqrt(B_k) over the whole
+    walk in one pass.  Increments sit on a 2^-12 grid, so every partial sum
+    is exact and the streamed carry cannot differ from np.cumsum; the last
+    5000 steps drift upward so the max lands in the second block."""
+    law = gaussian_iso(1)
+    n = BLOCK + 5000
+    x = np.round(np.random.default_rng(1608).standard_normal((n, 1)) * 4096.0) / 4096.0
+    x[BLOCK:] += 0.5
+    gs = GammaSequence(law, sqrt_n(), n)
+    rec = de_statistic(from_increments(law, x), gs, "feller")
+    ratios = np.abs(np.cumsum(x[:, 0])) / np.sqrt(feller_bn_prefix(law, sqrt_n(), n))
+    i = int(np.argmax(ratios))
+    assert i >= BLOCK
+    norm = normalizers(n, 1)
+    assert rec.max_ratio == float(ratios[i])
+    assert rec.argmax_k == i + 1
+    assert rec.value == norm.a_n * float(ratios[i]) - norm.b_dn
 
 
 def test_feller_zero_variance_rejected():
