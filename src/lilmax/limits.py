@@ -134,7 +134,8 @@ def chi_norm_tail(d: int, t):
     if np.any(t < 0.0):
         raise ValueError("level must be nonnegative")
     if d == 2:
-        out = np.exp(-0.5 * t * t)
+        with np.errstate(over="ignore"):  # t^2 overflowing to inf gives 0
+            out = np.exp(-0.5 * t * t)
         return float(out) if out.ndim == 0 else out
     return prob_tail(gaussian_iso(d), t)
 

@@ -224,6 +224,15 @@ def _ladder_prob_tail(law: IncrementLaw, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cube_clamp(d: int, t: np.ndarray) -> np.ndarray:
+    """Radii capped at twice the corner radius sqrt(3d), which keeps t^2 finite.
+
+    The profile is exactly 1 and the tail exactly 0 from the corner on, so the
+    cap changes no value.
+    """
+    return np.minimum(t, 2.0 * _CUBE_HALF * math.sqrt(d))
+
+
 def _cube_sq_cdf_1(s: np.ndarray) -> np.ndarray:
     """P{X^2 <= s} for X ~ uniform[-a, a], a = sqrt(3)."""
     s = np.asarray(s, dtype=float)
@@ -416,7 +425,7 @@ def radial_profile(law: IncrementLaw, t) -> np.ndarray | float:
     elif fam == "rademacher_product":
         out = np.where(arr >= math.sqrt(law.d), 1.0, 0.0)
     elif fam == "uniform_cube":
-        out = _cube_trunc_array(law.d, arr)
+        out = _cube_trunc_array(law.d, _cube_clamp(law.d, arr))
     else:
         out = _ladder_radius_trunc(law, arr) / law.d
     return float(out[0]) if scalar else out
@@ -444,7 +453,7 @@ def prob_tail(law: IncrementLaw, t) -> np.ndarray | float:
     elif fam == "rademacher_product":
         out = np.where(arr < math.sqrt(law.d), 1.0, 0.0)
     elif fam == "uniform_cube":
-        out = _cube_prob_tail(law.d, arr)
+        out = _cube_prob_tail(law.d, _cube_clamp(law.d, arr))
     else:
         out = _ladder_prob_tail(law, arr)
     return float(out[0]) if scalar else out

@@ -8,9 +8,7 @@ PSD square roots
 
 computed from the analytic law (population quantity), never from the sample:
 the self-normalized statistic is defined through the law of X, and plugging
-in sampling noise would corrupt it.  An empirical plug-in overlay exists as
-a diagnostic only (``empirical_sample`` argument) and is excluded from
-acceptance runs.
+in sampling noise would corrupt it.
 
 Index floors
 ------------
@@ -48,7 +46,7 @@ import numpy as np
 
 from .iterlog import iterlog
 from .models import IncrementLaw, law_id, prob_tail, radial_profile, tail_profile
-from .psdmat import NearSingularError, SymPSD, eigen, inverse, psd_sqrt
+from .psdmat import NearSingularError, SymPSD
 
 SCHEME_FAMILIES = ("sqrt_n", "sqrt_n_invLL5", "sqrt_n_polylog", "table")
 
@@ -264,7 +262,6 @@ class GammaSequence:
         n_max: int,
         *,
         n0: Optional[int] = None,
-        empirical_sample: Optional[np.ndarray] = None,
         lambda_floor: float = LAMBDA_FLOOR,
         jump_budget: float = JUMP_BUDGET,
     ):
@@ -275,7 +272,6 @@ class GammaSequence:
         self.n_max = int(n_max)
         self.lambda_floor = float(lambda_floor)
         self.jump_budget = float(jump_budget)
-        self.empirical = empirical_sample is not None
 
         if n0 is None:
             self.n0 = self._default_n0()
@@ -290,19 +286,15 @@ class GammaSequence:
         floored = np.maximum(self._ns, self.n0)
         self._c = c_levels(scheme, floored)
 
-        if self.empirical:
-            self._build_empirical(np.asarray(empirical_sample, dtype=float))
-        else:
-            # every catalogue law is isotropic: A(c)^2 = a(c) * I
-            self._a = np.clip(np.asarray(radial_profile(law, self._c)), 0.0, None)
-            self._scale = np.sqrt(self._a)
-            bad = self._scale < self.lambda_floor * (1.0 - 1e-12)
-            if bad.any():
-                first = int(self._ns[np.argmax(bad)])
-                raise NearSingularError(
-                    f"Gamma_{first} has eigenvalue {self._scale[bad][0]:.3g} below "
-                    f"the floor {self.lambda_floor}; n0 = {self.n0} is misconfigured"
-                )
+        # every catalogue law is isotropic: A(c)^2 = a(c) * I
+        self._scale = np.sqrt(np.clip(np.asarray(radial_profile(law, self._c)), 0.0, None))
+        bad = self._scale < self.lambda_floor * (1.0 - 1e-12)
+        if bad.any():
+            first = int(self._ns[np.argmax(bad)])
+            raise NearSingularError(
+                f"Gamma_{first} has eigenvalue {self._scale[bad][0]:.3g} below "
+                f"the floor {self.lambda_floor}; n0 = {self.n0} is misconfigured"
+            )
 
     # -- construction helpers ------------------------------------------------
 
@@ -342,38 +334,7 @@ class GammaSequence:
         psi = ks * np.asarray(prob_tail(self.law, c_levels(self.scheme, ks)))
         return float(psi.max())
 
-    def _build_empirical(self, sample: np.ndarray) -> None:
-        if sample.ndim != 2 or sample.shape[1] != self.law.d:
-            raise ValueError(f"empirical sample must have shape (N, {self.law.d})")
-        r = np.linalg.norm(sample, axis=1)
-        order = np.argsort(r, kind="stable")
-        xs = sample[order]
-        rs = r[order]
-        outer = xs[:, :, None] * xs[:, None, :]
-        prefix = np.concatenate(
-            [np.zeros((1, self.law.d, self.law.d)), np.cumsum(outer, axis=0)], axis=0
-        )
-        counts = np.searchsorted(rs, self._c, side="right")
-        mats = prefix[counts] / len(xs)
-        self._gammas = []
-        self._gamma_invs = []
-        lam_min = np.empty(len(self._ns))
-        lam_max = np.empty(len(self._ns))
-        for i, m in enumerate(mats):
-            g = psd_sqrt(SymPSD.from_array(m))
-            pair = eigen(g)
-            self._gammas.append(g)
-            self._gamma_invs.append(inverse(g))
-            lam_min[i] = pair.lambda_min
-            lam_max[i] = pair.lambda_max
-        self._lam_min = lam_min
-        self._lam_max = lam_max
-
     # -- lookups ---------------------------------------------------------------
-
-    @property
-    def isotropic(self) -> bool:
-        return not self.empirical
 
     def _index_of(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -383,14 +344,7 @@ class GammaSequence:
         return int(np.searchsorted(self._ns, n, side="right")) - 1
 
     def gamma_at(self, n: int) -> GammaView:
-        i = self._index_of(n)
-        if self.empirical:
-            g = self._gammas[i]
-            return GammaView(
-                n=n, gamma=g, gamma_inv=self._gamma_invs[i],
-                lambda_min=float(self._lam_min[i]), lambda_max=float(self._lam_max[i]),
-            )
-        s = float(self._scale[i])
+        s = float(self._scale[self._index_of(n)])
         if s <= 1e-8:
             raise NearSingularError(f"Gamma_{n} is numerically singular (scale {s:.3g})")
         d = self.law.d
@@ -403,9 +357,7 @@ class GammaSequence:
         )
 
     def inv_scale(self, ns) -> np.ndarray:
-        """Vectorized 1/lambda(Gamma_n) for isotropic laws (hot path)."""
-        if self.empirical:
-            raise ValueError("inv_scale is only defined for the isotropic analytic path")
+        """Vectorized 1/lambda(Gamma_n) (hot path)."""
         ns = np.asarray(ns)
         if np.any(ns < 1) or np.any(ns > self.n_max):
             raise ValueError(f"indices outside 1..{self.n_max}")
@@ -417,21 +369,9 @@ class GammaSequence:
     def inv_apply(self, ns, rows: np.ndarray) -> np.ndarray:
         """Rows Gamma_n^{-1} x for per-row indices ns; shape (m, d) -> (m, d).
 
-        Isotropic laws scale each row; the empirical overlay gathers the
-        per-checkpoint inverse matrices and applies them batched.
+        Gamma_n is a scalar multiple of the identity, so each row is scaled.
         """
-        rows = np.asarray(rows, dtype=float)
-        if not self.empirical:
-            return rows * self.inv_scale(ns)[:, None]
-        ns = np.asarray(ns)
-        if np.any(ns < 1) or np.any(ns > self.n_max):
-            raise ValueError(f"indices outside 1..{self.n_max}")
-        idx = np.where(
-            ns <= EXACT_LIMIT, ns - 1, np.searchsorted(self._ns, ns, side="right") - 1
-        )
-        mats = np.stack([self._gamma_invs[i].entries for i in np.unique(idx)])
-        remap = np.searchsorted(np.unique(idx), idx)
-        return np.einsum("kij,kj->ki", mats[remap], rows)
+        return np.asarray(rows, dtype=float) * self.inv_scale(ns)[:, None]
 
     @cached_property
     def feller_bn(self) -> np.ndarray:
@@ -444,10 +384,6 @@ class GammaSequence:
         bn = feller_bn_prefix(self.law, self.scheme, self.n_max)
         bn.setflags(write=False)
         return bn
-
-    def checkpoint_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, levels) of the cache; read-only diagnostics."""
-        return self._ns.copy(), self._c.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Streaming trajectory statistics for normalized random-walk maxima.
 
-A trajectory is consumed once, in fixed-size blocks: partial sums within a
-block come from a vectorized cumulative sum, and the running total carried
-across blocks uses Neumaier-compensated summation so the drift at horizons
-up to 10^7 stays orders of magnitude below the statistic resolution.  For
-any horizon that fits in a single block (n <= 32768) the streamed partial
-sums are bit-identical to materializing the whole walk.
+Every statistic is a small reducer over one scan, ``_scan``, which consumes
+a trajectory once, in fixed-size blocks: partial sums within a block come
+from a vectorized cumulative sum, and the running total carried across
+blocks uses Neumaier-compensated summation so the drift at horizons up to
+10^7 stays orders of magnitude below the statistic resolution.  For any
+horizon that fits in a single block (n <= 32768) the streamed partial sums
+are bit-identical to materializing the whole walk.
 
 Statistic modes
 ---------------
@@ -94,37 +95,45 @@ def _seed_label(seed) -> str:
     return str(seed)
 
 
-def _iter_blocks(traj: Trajectory):
-    """Yield (offset, increment block); the draw pattern is horizon-fixed."""
-    if traj.increments is not None:
-        for off in range(0, traj.n, BLOCK):
-            yield off, traj.increments[off : off + BLOCK]
-        return
-    rng = np.random.default_rng(traj.seed)
+def _scan(traj: Trajectory, lo: int = 1, hi: Optional[int] = None):
+    """Yield (ks, S_rows) for the indices k in [lo, hi], block by block.
+
+    Blocks are drawn in the horizon-fixed pattern whatever the window, so a
+    seed replays the same walk; drawing stops once a block starts past hi.
+    S_rows is the within-block cumulative sum plus the Neumaier-compensated
+    total carried from earlier blocks.
+    """
+    hi = traj.n if hi is None else hi
+    rng = None if traj.increments is not None else np.random.default_rng(traj.seed)
+    total = np.zeros(traj.law.d)
+    comp = np.zeros(traj.law.d)
     for off in range(0, traj.n, BLOCK):
+        if off >= hi:
+            return
         m = min(BLOCK, traj.n - off)
-        yield off, sample(traj.law, rng, m)
+        block = sample(traj.law, rng, m) if rng is not None else traj.increments[off : off + m]
+        if off + m >= lo:
+            a, b = max(lo - off, 1), min(hi - off, m)
+            s_rows = np.cumsum(block[:b], axis=0)[a - 1 :] + (total + comp)
+            yield np.arange(off + a, off + b + 1), s_rows
+        block_sum = block.sum(axis=0)
+        t = total + block_sum
+        big = np.abs(total) >= np.abs(block_sum)
+        comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
+        total = t
 
 
-class _CompensatedCarry:
-    """Running vector total with Neumaier compensation across blocks."""
-
-    def __init__(self, d: int):
-        self.total = np.zeros(d)
-        self.comp = np.zeros(d)
-
-    def partials(self, block: np.ndarray) -> np.ndarray:
-        """S_k rows for this block: within-block cumsum plus carried total."""
-        p = np.cumsum(block, axis=0)
-        return p + (self.total + self.comp)
-
-    def absorb(self, block_sum: np.ndarray) -> None:
-        t = self.total + block_sum
-        big = np.abs(self.total) >= np.abs(block_sum)
-        self.comp += np.where(
-            big, (self.total - t) + block_sum, (block_sum - t) + self.total
-        )
-        self.total = t
+def _running_max(traj: Trajectory, ratio, lo: int = 1, hi: Optional[int] = None):
+    """(max, argmax k) of ratio(ks, S_rows) over k in [lo, hi]; ties go to the smallest k."""
+    best = -np.inf
+    best_k = lo
+    for ks, s_rows in _scan(traj, lo, hi):
+        ratios = ratio(ks, s_rows)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best:
+            best = float(ratios[i])
+            best_k = int(ks[i])
+    return best, best_k
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +213,14 @@ def de_statistic(
             if gs.feller_bn[0] <= 0.0:
                 raise ValueError("running variance is 0: truncation level below all mass")
 
-    best = -np.inf
-    best_k = 1
-    carry = _CompensatedCarry(d)
-    for off, block in _iter_blocks(traj):
-        s_rows = carry.partials(block)
-        ks = np.arange(off + 1, off + 1 + len(block))
+    def ratio(ks, s_rows):
         if mode == "classical":
-            norms = np.linalg.norm(s_rows, axis=1)
-            ratios = norms / np.sqrt(ks)
-        elif mode == "self_normalized":
-            norms = np.linalg.norm(gs.inv_apply(ks, s_rows), axis=1)
-            ratios = norms / np.sqrt(ks)
-        else:
-            norms = np.abs(s_rows[:, 0])
-            ratios = norms / np.sqrt(gs.feller_bn[off : off + len(block)])
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_k = int(ks[i])
-        carry.absorb(block.sum(axis=0))
+            return np.linalg.norm(s_rows, axis=1) / np.sqrt(ks)
+        if mode == "self_normalized":
+            return np.linalg.norm(gs.inv_apply(ks, s_rows), axis=1) / np.sqrt(ks)
+        return np.abs(s_rows[:, 0]) / np.sqrt(gs.feller_bn[ks[0] - 1 : ks[-1]])
 
+    best, best_k = _running_max(traj, ratio)
     norm = normalizers(traj.n, d)
     return StatRecord(
         mode=mode,
@@ -266,32 +262,13 @@ def lil_sup_statistic(
     if gs is not None:
         _check_gs(traj, gs)
 
-    best = -np.inf
-    best_k = n_start
-    carry = _CompensatedCarry(1)
-    for off, block in _iter_blocks(traj):
-        s_rows = carry.partials(block)
-        carry.absorb(block.sum(axis=0))
-        hi = off + len(block)
-        if hi < n_start:
-            continue
-        ks = np.arange(off + 1, hi + 1)
-        keep = (ks >= n_start) & (ks <= cap)
-        if not keep.any():
-            if off + 1 > cap:
-                break
-            continue
-        ks = ks[keep]
-        norms = np.abs(s_rows[keep, 0])
+    def ratio(ks, s_rows):
         denom = np.sqrt(2.0 * ks * np.asarray(iterlog(ks, 2), dtype=float))
         if gs is not None:
             denom = denom / gs.inv_scale(ks)
-        ratios = norms / denom
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_k = int(ks[i])
+        return np.abs(s_rows[:, 0]) / denom
 
+    best, best_k = _running_max(traj, ratio, n_start, cap)
     norm = lil_sup_normalizer(n_start)
     return StatRecord(
         mode="lil_sup",
@@ -332,30 +309,13 @@ def lil_crossings(
     count = 0
     first_k: Optional[int] = None
     last_k: Optional[int] = None
-    carry = _CompensatedCarry(traj.law.d)
-    for off, block in _iter_blocks(traj):
-        s_rows = carry.partials(block)
-        carry.absorb(block.sum(axis=0))
-        hi = off + len(block)
-        if hi < n_lo:
-            continue
-        if off + 1 > n_hi:
-            break
-        ks = np.arange(off + 1, hi + 1)
-        keep = (ks >= n_lo) & (ks <= n_hi)
-        if not keep.any():
-            continue
-        ks = ks[keep]
-        rows = s_rows[keep]
+    for ks, rows in _scan(traj, n_lo, n_hi):
         if gs is not None:
             rows = gs.inv_apply(ks, rows)
-        norms = np.linalg.norm(rows, axis=1)
         bound = np.sqrt(ks) * np.asarray(phi(ks), dtype=float)
-        crossed = norms > bound
-        c = int(np.count_nonzero(crossed))
-        if c:
-            count += c
-            idx = np.nonzero(crossed)[0]
+        idx = np.flatnonzero(np.linalg.norm(rows, axis=1) > bound)
+        if idx.size:
+            count += int(idx.size)
             if first_k is None:
                 first_k = int(ks[idx[0]])
             last_k = int(ks[idx[-1]])

@@ -1,0 +1,65 @@
+"""The names perfbench reaches into lilmax by must keep resolving.
+
+``perfbench/tracing.py`` patches each ``BOUNDARIES`` entry in the module
+that calls it, and ``perfbench/child.py`` calls a few helpers directly; a
+rename in lilmax would otherwise surface only as a failed benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lilmax import harness, walkstats
+from lilmax.models import gaussian_iso
+from lilmax.truncation import GammaSequence, sqrt_n
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("module_name, attr, span", _load_tracing().BOUNDARIES)
+def test_tracing_boundary_resolves(module_name, attr, span):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_child_names_resolve():
+    assert callable(walkstats.from_increments)
+    assert isinstance(walkstats.BLOCK, int) and walkstats.BLOCK > 0
+    assert callable(harness.replication_seed)
+
+
+def test_patched_names_are_reached(monkeypatch):
+    """A seeded self-normalized walk draws through ``walkstats.sample`` and
+    normalizes through ``GammaSequence.inv_apply``, so spans land on both."""
+    calls = {"sample": 0, "inv_apply": 0}
+    sample, inv_apply = walkstats.sample, GammaSequence.inv_apply
+
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
+
+    def counted_inv_apply(self, *args):
+        calls["inv_apply"] += 1
+        return inv_apply(self, *args)
+
+    monkeypatch.setattr(walkstats, "sample", counted_sample)
+    monkeypatch.setattr(GammaSequence, "inv_apply", counted_inv_apply)
+    law = gaussian_iso(2)
+    n = walkstats.BLOCK + 10
+    rec = walkstats.de_statistic(
+        walkstats.trajectory(law, n, 3), GammaSequence(law, sqrt_n(), n), "self_normalized"
+    )
+    assert np.isfinite(rec.value)
+    assert calls == {"sample": 2, "inv_apply": 2}

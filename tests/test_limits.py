@@ -6,6 +6,7 @@ test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,14 @@ def test_chi_tail_at_zero_and_monotone():
     for t in (0.5, 2.0, 5.0):
         vals = [chi_norm_tail(d, t) for d in range(1, 9)]
         assert np.all(np.diff(vals) > 0.0)
+
+
+def test_chi_tail_at_huge_level_quiet():
+    # t^2 overflows to inf past ~1.3e154: the tail is 0 and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 9):
+            assert chi_norm_tail(d, 1e200) == 0.0
 
 
 def test_chi_tail_mc_cross_check():

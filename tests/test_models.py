@@ -8,6 +8,7 @@ asserted to the last bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,25 @@ def test_gaussian_profile_extreme_radii_regression():
     # radius whose squared half overflows to infinity
     assert M.radial_profile(law, 1.0e200) == 1.0
     assert M.prob_tail(law, 1.0e200) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make", [M.gaussian_iso, M.rademacher_product, M.uniform_cube, M.atom_ladder, M.atom_ladder_fat]
+)
+def test_profiles_at_huge_radius_quiet(make, d):
+    """Past ~1.3e154 the square of the radius overflows; every family still
+    returns finite values, no tail mass and no overflow warning."""
+    law = make(d=d)
+    t = np.array([1.0, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = M.radial_profile(law, t)
+        tail = M.prob_tail(law, t)
+        tau = M.tail_second_moment(law, t)
+    assert np.all(np.isfinite(profile)) and np.all(profile <= 1.0)
+    assert np.all(np.isfinite(tail)) and tail[1] == 0.0
+    assert np.all(np.isfinite(tau)) and np.all(tau >= 0.0)
 
 
 @given(law=law_strategy(), t=st.floats(0.0, 50.0))

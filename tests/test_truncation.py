@@ -300,7 +300,7 @@ def test_gamma_loewner_monotone_along_cache():
 
 def test_gamma_checkpoint_hold_and_exact_region():
     gs = T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 10**5)
-    ns, _ = gs.checkpoint_view()
+    ns = gs._ns
     above = ns[ns > T.EXACT_LIMIT]
     ratios = above[1:] / above[:-1]
     # integer rounding adds at most one index to the geometric step
@@ -346,24 +346,6 @@ def test_gamma_bounds_and_errors():
     # forcing n0 = 1 on rademacher d=2 leaves Gamma_1 singular: loud failure
     with pytest.raises(NearSingularError):
         T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 100, n0=1)
-
-
-def test_empirical_overlay_close_to_analytic():
-    law = M.gaussian_iso(2)
-    rng = np.random.default_rng(31)
-    sample = M.sample(law, rng, 200_000)
-    gs_emp = T.GammaSequence(law, T.sqrt_n(), 1000, empirical_sample=sample)
-    gs_ana = T.GammaSequence(law, T.sqrt_n(), 1000)
-    assert gs_emp.empirical and not gs_emp.isotropic
-    for n in (20, 100, 1000):
-        e = gs_emp.gamma_at(n)
-        a = gs_ana.gamma_at(n)
-        np.testing.assert_allclose(e.gamma.entries, a.gamma.entries, atol=0.02)
-        assert e.lambda_min == pytest.approx(a.lambda_min, abs=0.02)
-    with pytest.raises(ValueError):
-        gs_emp.inv_scale([10])
-    with pytest.raises(ValueError):
-        T.GammaSequence(law, T.sqrt_n(), 100, empirical_sample=sample[:, :1])
 
 
 # ---------------------------------------------------------------------------

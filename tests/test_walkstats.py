@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lilmax.iterlog import iterlog, lil_sup_normalizer, normalizers
 from lilmax.models import gaussian_iso, rademacher_product, sample, uniform_cube
 from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
+from lilmax import walkstats
 from lilmax.walkstats import (
     BLOCK,
     CrossingRecord,
@@ -351,6 +352,40 @@ def test_lil_sup_spans_blocks():
     assert rec.max_ratio > 1.0
 
 
+def test_lil_sup_window_across_blocks_matches_two_pass(monkeypatch):
+    """A window [BLOCK - 40, BLOCK + 7] straddling the block boundary equals
+    the two-pass sup over np.cumsum bit for bit (grid increments keep every
+    partial sum exact), and a seeded walk never draws the block past the cap."""
+    law = gaussian_iso(1)
+    n = 2 * BLOCK + 10
+    start, cap = BLOCK - 40, BLOCK + 7
+    x = np.round(np.random.default_rng(1608).standard_normal((n, 1)) * 4096.0) / 4096.0
+    x[start:] += np.sign(x[:start].sum())  # |S_k| drifts up past the boundary
+    gs = GammaSequence(law, sqrt_n(), n)
+    rec = lil_sup_statistic(from_increments(law, x), gs, start, horizon_cap=cap)
+
+    ks = np.arange(start, cap + 1)
+    denom = np.sqrt(2.0 * ks * np.asarray(iterlog(ks, 2), dtype=float))
+    ratios = np.abs(np.cumsum(x[:, 0])[ks - 1]) / (denom / gs.inv_scale(ks))
+    i = int(np.argmax(ratios))
+    assert ks[i] > BLOCK
+    norm = lil_sup_normalizer(start)
+    assert rec.max_ratio == float(ratios[i])
+    assert rec.argmax_k == int(ks[i])
+    assert rec.value == norm.scale * (float(ratios[i]) - 1.0) - norm.center
+    assert rec.horizon_cap == cap
+
+    drawn = []
+
+    def counting_sample(law, rng, size):
+        drawn.append(size)
+        return sample(law, rng, size)
+
+    monkeypatch.setattr(walkstats, "sample", counting_sample)
+    lil_sup_statistic(trajectory(law, n, 7), None, start, horizon_cap=cap)
+    assert drawn == [BLOCK, BLOCK]
+
+
 def test_lil_sup_validation():
     law = gaussian_iso(1)
     traj = from_increments(law, np.zeros((100, 1)))
@@ -412,6 +447,29 @@ def test_crossings_span_blocks():
     assert rec.count == 8
     assert rec.first_k == BLOCK - 2
     assert rec.last_k == n
+
+
+def test_crossings_window_across_blocks_matches_two_pass():
+    """Crossings of |Gamma_k^{-1} S_k| over [BLOCK - 50, BLOCK + 50] on a
+    d = 2 walk equal the two-pass count over np.cumsum bit for bit."""
+    law = gaussian_iso(2)
+    n = BLOCK + 100
+    lo, hi = BLOCK - 50, BLOCK + 50
+    x = np.round(np.random.default_rng(1608).standard_normal((n, 2)) * 4096.0) / 4096.0
+    gs = GammaSequence(law, sqrt_n(), n)
+
+    ks = np.arange(lo, hi + 1)
+    norms = np.linalg.norm(gs.inv_apply(ks, np.cumsum(x, axis=0)[ks - 1]), axis=1)
+    level = float(np.median(norms / np.sqrt(ks)))
+    crossed = np.flatnonzero(norms > np.sqrt(ks) * level)
+    assert ks[crossed[0]] <= BLOCK < ks[crossed[-1]]
+
+    rec = lil_crossings(
+        from_increments(law, x), gs, lambda k: np.full(np.shape(k), level), lo, hi
+    )
+    assert rec.count == crossed.size
+    assert rec.first_k == int(ks[crossed[0]])
+    assert rec.last_k == int(ks[crossed[-1]])
 
 
 def test_crossings_gamma_identity_matches_none():
