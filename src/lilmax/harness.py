@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .models import IncrementLaw, law_from_mapping, law_id
 from .truncation import GammaSequence, TruncationScheme, scheme_from_mapping, scheme_id
 from .walkstats import MODES, StatRecord, de_statistic, trajectory
@@ -374,6 +376,11 @@ def experiment_summary(
             "q75": qs[4], "q95": qs[5], "q99": qs[6],
         },
         "runtime_seconds": round(float(runtime_seconds), 3),
+        # replay bytes depend on numpy's generator streams and reduction order
+        "lilmax_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
     }
     if gumbel is not None:
         summary["ks_gumbel"] = ks_one_sample(ecdf, gumbel)

@@ -137,7 +137,14 @@ class SymPSD:
 
     @classmethod
     def scaled_identity(cls, d: int, value: float) -> "SymPSD":
-        return cls.from_array(value * np.eye(d))
+        """value * I, built directly: its eigenvalues are all ``value``."""
+        if not 1 <= d <= MAX_DIM:
+            raise MatrixError(f"dimension must be in 1..{MAX_DIM}, got {d}")
+        if value < -TOL_PSD:
+            raise NotPSDError(f"matrix has eigenvalue {value:.3e} < -{TOL_PSD}")
+        m = value * np.eye(d)
+        m.setflags(write=False)
+        return cls(entries=m)
 
     @property
     def d(self) -> int:

@@ -252,7 +252,8 @@ class GammaSequence:
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
     held piecewise constant) beyond.  Built once, then shared across worker
-    threads without locking; so is Feller's B_k, lazily, in ``feller_bn``.
+    threads without locking; so are the per-index ``inv_scales`` and Feller's
+    B_k in ``feller_bn``, both built lazily on first use.
     """
 
     def __init__(
@@ -361,17 +362,31 @@ class GammaSequence:
         ns = np.asarray(ns)
         if np.any(ns < 1) or np.any(ns > self.n_max):
             raise ValueError(f"indices outside 1..{self.n_max}")
-        idx = np.where(
-            ns <= EXACT_LIMIT, ns - 1, np.searchsorted(self._ns, ns, side="right") - 1
-        )
-        return 1.0 / self._scale[idx]
+        return self.inv_scales.take(ns - 1)
 
     def inv_apply(self, ns, rows: np.ndarray) -> np.ndarray:
         """Rows Gamma_n^{-1} x for per-row indices ns; shape (m, d) -> (m, d).
 
-        Gamma_n is a scalar multiple of the identity, so each row is scaled.
+        Gamma_n is a scalar multiple of the identity, so each row is scaled,
+        one column at a time (a broadcast over rows of length d is slower).
         """
-        return np.asarray(rows, dtype=float) * self.inv_scale(ns)[:, None]
+        rows = np.asarray(rows, dtype=float)
+        inv = self.inv_scale(ns)
+        out = np.empty_like(rows)
+        for j in range(rows.shape[1]):
+            np.multiply(rows[:, j], inv, out=out[:, j])
+        return out
+
+    @cached_property
+    def inv_scales(self) -> np.ndarray:
+        """Read-only 1/lambda(Gamma_n) for n = 1..n_max, built on first use.
+
+        Each checkpoint's value is repeated up to the next checkpoint, so
+        entry n - 1 is the held value the lookup at n returns.
+        """
+        inv = np.repeat(1.0 / self._scale, np.diff(self._ns, append=self.n_max + 1))
+        inv.setflags(write=False)
+        return inv
 
     @cached_property
     def feller_bn(self) -> np.ndarray:

@@ -8,6 +8,16 @@ blocks uses Neumaier-compensated summation so the drift at horizons up to
 horizon that fits in a single block (n <= 32768) the streamed partial sums
 are bit-identical to materializing the whole walk.
 
+Each block is cumulatively summed once.  For d >= 2 the block total fed to
+the carry is the cumsum's last row: numpy reduces a C-ordered (m, d) array
+over axis 0 row by row, so that row has the bits of ``block.sum(axis=0)``
+without a second strided pass.  A single column keeps ``block.sum``, whose
+pairwise order differs.  Row norms go through ``_row_norm``, which adds the
+squared columns in the order ``np.linalg.norm(x, axis=1)`` does (left to
+right below d = 8) without its temporaries.  Output bytes therefore depend
+on numpy's reduction order as well as its generator streams; tests pin
+both assumptions.
+
 Statistic modes
 ---------------
 * ``classical``:        a_n * max_{1<=k<=n} |S_k| / sqrt(k)            - b_{d,n}
@@ -38,6 +48,7 @@ import numpy as np
 from .iterlog import iterlog, lil_sup_normalizer, normalizers
 # radial_profile and c_levels stay imported: perfbench/tracing.py patches them here.
 from .models import IncrementLaw, law_id, radial_profile, sample  # noqa: F401
+from .psdmat import MAX_DIM
 from .truncation import GammaSequence, c_levels, scheme_id  # noqa: F401
 
 BLOCK = 32768
@@ -100,8 +111,8 @@ def _scan(traj: Trajectory, lo: int = 1, hi: Optional[int] = None):
 
     Blocks are drawn in the horizon-fixed pattern whatever the window, so a
     seed replays the same walk; drawing stops once a block starts past hi.
-    S_rows is the within-block cumulative sum plus the Neumaier-compensated
-    total carried from earlier blocks.
+    S_rows is a view of the block's one cumulative sum with the
+    Neumaier-compensated total carried from earlier blocks added in place.
     """
     hi = traj.n if hi is None else hi
     rng = None if traj.increments is not None else np.random.default_rng(traj.seed)
@@ -112,15 +123,49 @@ def _scan(traj: Trajectory, lo: int = 1, hi: Optional[int] = None):
             return
         m = min(BLOCK, traj.n - off)
         block = sample(traj.law, rng, m) if rng is not None else traj.increments[off : off + m]
+        rows = np.cumsum(block, axis=0)
+        block_sum = _block_sum(block, rows)
+        del block  # only the cumsum buffer stays alive while the reducer runs
         if off + m >= lo:
             a, b = max(lo - off, 1), min(hi - off, m)
-            s_rows = np.cumsum(block[:b], axis=0)[a - 1 :] + (total + comp)
+            s_rows = rows[a - 1 : b]
+            # column by column: a broadcast over rows of length d is several times slower
+            for j, c in enumerate(total + comp):
+                s_rows[:, j] += c
             yield np.arange(off + a, off + b + 1), s_rows
-        block_sum = block.sum(axis=0)
         t = total + block_sum
         big = np.abs(total) >= np.abs(block_sum)
         comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
         total = t
+
+
+def _block_sum(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``block.sum(axis=0)`` bit for bit, given ``rows = np.cumsum(block, axis=0)``.
+
+    numpy sums a C-ordered (m, d >= 2) array over axis 0 row by row, which is
+    exactly the cumulative sum's last row.  A single column, or a block in
+    any other layout, is summed pairwise instead, so it is summed again.
+    """
+    if block.shape[1] > 1 and block.flags.c_contiguous:
+        return rows[-1].copy()
+    return block.sum(axis=0)
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array; bit-identical to
+    ``np.linalg.norm(x, axis=1)`` in the order it adds the squares.
+
+    d = 1 returns |x|, which equals sqrt(x*x) unless x*x under- or overflows.
+    """
+    d = x.shape[1]
+    if d == 1:
+        return np.abs(x[:, 0])
+    if d == MAX_DIM:
+        return np.linalg.norm(x, axis=1)
+    acc = x[:, 0] * x[:, 0]
+    for j in range(1, d):
+        acc += x[:, j] * x[:, j]
+    return np.sqrt(acc, out=acc)
 
 
 def _running_max(traj: Trajectory, ratio, lo: int = 1, hi: Optional[int] = None):
@@ -215,9 +260,9 @@ def de_statistic(
 
     def ratio(ks, s_rows):
         if mode == "classical":
-            return np.linalg.norm(s_rows, axis=1) / np.sqrt(ks)
+            return _row_norm(s_rows) / np.sqrt(ks)
         if mode == "self_normalized":
-            return np.linalg.norm(gs.inv_apply(ks, s_rows), axis=1) / np.sqrt(ks)
+            return _row_norm(gs.inv_apply(ks, s_rows)) / np.sqrt(ks)
         return np.abs(s_rows[:, 0]) / np.sqrt(gs.feller_bn[ks[0] - 1 : ks[-1]])
 
     best, best_k = _running_max(traj, ratio)
@@ -313,7 +358,7 @@ def lil_crossings(
         if gs is not None:
             rows = gs.inv_apply(ks, rows)
         bound = np.sqrt(ks) * np.asarray(phi(ks), dtype=float)
-        idx = np.flatnonzero(np.linalg.norm(rows, axis=1) > bound)
+        idx = np.flatnonzero(_row_norm(rows) > bound)
         if idx.size:
             count += int(idx.size)
             if first_k is None:

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lilmax
 from lilmax.harness import (
     CSV_HEADER,
     ConfigError,
@@ -380,6 +382,10 @@ def test_summary_schema(tmp_path):
     }
     assert 0.0 <= summary["ks_gumbel"] <= 1.0
     assert 0.0 <= summary["ks_two_sample"] <= 1.0
+    assert summary["lilmax_version"] == lilmax.__version__
+    assert summary["numpy_version"] == np.__version__
+    assert summary["scipy_version"] == scipy.__version__
+    assert summary["bit_generator"] == type(np.random.default_rng().bit_generator).__name__
     path = tmp_path / "summary.jsonl"
     append_jsonl(summary, str(path))
     append_jsonl(summary, str(path))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from lilmax import models as M
 from lilmax import truncation as T
 from lilmax.iterlog import iterlog
-from lilmax.psdmat import NearSingularError, loewner_leq
+from lilmax.psdmat import MatrixError, NearSingularError, NotPSDError, SymPSD, loewner_leq
 
 # ---------------------------------------------------------------------------
 # levels
@@ -331,6 +331,45 @@ def test_inv_scale_matches_views():
     inv = gs.inv_scale(ks)
     for k, v in zip(ks, inv):
         assert v == pytest.approx(1.0 / gs.gamma_at(int(k)).lambda_min, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [5000, 10000, 10001, 123457])
+@pytest.mark.parametrize("law", [M.gaussian_iso(2), M.uniform_cube(1), M.atom_ladder()])
+@pytest.mark.parametrize("scheme", [T.sqrt_n(), T.sqrt_n_invLL5()])
+def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
+    gs = T.GammaSequence(law, scheme, n_max)
+    ns = np.arange(1, n_max + 1)
+    idx = np.where(
+        ns <= T.EXACT_LIMIT, ns - 1, np.searchsorted(gs._ns, ns, side="right") - 1
+    )
+    want = 1.0 / gs._scale[idx]
+    assert not gs.inv_scales.flags.writeable
+    assert np.array_equal(gs.inv_scales, want)
+    assert np.array_equal(gs.inv_scale(ns[::-37]), want[::-37])
+    with pytest.raises(ValueError):
+        gs.inv_scale([0])
+    with pytest.raises(ValueError):
+        gs.inv_scale([n_max + 1])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("value", [0.0, -1e-11, 0.3, 1.0, 7.25e5])
+def test_scaled_identity_matches_from_array(d, value):
+    fast = SymPSD.scaled_identity(d, value)
+    slow = SymPSD.from_array(value * np.eye(d))
+    assert np.array_equal(fast.entries.view(np.int64), slow.entries.view(np.int64))
+    assert not fast.entries.flags.writeable
+
+
+def test_scaled_identity_errors_match_from_array():
+    for d in (0, 9):
+        with pytest.raises(MatrixError, match=f"dimension must be in 1..8, got {d}"):
+            SymPSD.scaled_identity(d, 1.0)
+    with pytest.raises(NotPSDError) as fast:
+        SymPSD.scaled_identity(3, -0.5)
+    with pytest.raises(NotPSDError) as slow:
+        SymPSD.from_array(-0.5 * np.eye(3))
+    assert str(fast.value) == str(slow.value)
 
 
 def test_gamma_bounds_and_errors():

@@ -172,6 +172,51 @@ def test_streaming_matches_two_pass(mode):
     assert rec.max_ratio == float(ratios[i])
 
 
+# Frozen (value, argmax_k, max_ratio) at n = 2 * BLOCK + 10.  The seeds put
+# each argmax in the second block, so the carried first-block total feeds the
+# winning partial sum.
+MULTIBLOCK_ORACLE = [
+    ("self_normalized", uniform_cube(2), 11, 1.0064026748921657, 63986, 3.1083016745538776),
+    ("self_normalized", gaussian_iso(3), 18, -0.9045618663103028, 53193, 2.5201623904156403),
+    ("classical", gaussian_iso(1), 1, 0.32622335036936434, 58735, 2.3093912197853905),
+    ("classical", gaussian_iso(8), 47, 1.3637418866082944, 41700, 3.8219829477060525),
+]
+
+
+@pytest.mark.parametrize("mode,law,seed,value,argmax_k,max_ratio", MULTIBLOCK_ORACLE)
+def test_multiblock_frozen_oracle(mode, law, seed, value, argmax_k, max_ratio):
+    n = 2 * BLOCK + 10
+    gs = GammaSequence(law, sqrt_n(), n) if mode == "self_normalized" else None
+    rec = de_statistic(trajectory(law, n, seed), gs, mode)
+    assert BLOCK < rec.argmax_k <= 2 * BLOCK
+    assert rec.value == value
+    assert rec.argmax_k == argmax_k
+    assert rec.max_ratio == max_ratio
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_row_norm_matches_linalg_norm_bitwise(d):
+    """Pins numpy's order of adding squares in norm(axis=1): a numpy that
+    changes it must fail here rather than move CSV bytes."""
+    rng = np.random.default_rng(100 + d)
+    x = rng.standard_normal((4097, d)) * np.exp(rng.uniform(-20.0, 20.0, (4097, d)))
+    x[::7] = 0.0
+    for arr in (x, np.asfortranarray(x)):
+        got = walkstats._row_norm(arr)
+        want = np.linalg.norm(arr, axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("m", [BLOCK, 1001])
+def test_block_sum_rule_matches_sum_bitwise(d, m):
+    """Pins numpy's axis-0 reduction order for the carried block total."""
+    block = np.random.default_rng(m + d).standard_normal((m, d))
+    for arr in (block, np.asfortranarray(block)):
+        got = walkstats._block_sum(arr, np.cumsum(arr, axis=0))
+        assert np.array_equal(got.view(np.int64), arr.sum(axis=0).view(np.int64))
+
+
 def test_multiblock_carry_and_tie_break():
     """A ratio tie across a block boundary resolves to the smaller index,
     and the compensated carry keeps the second block's partial sums exact."""
