@@ -5,14 +5,13 @@ The package is organized in layers:
 - ``psdmat``: exact-size symmetric PSD matrices, Jacobi eigensolver, square
   roots, and the Loewner order.
 - ``iterlog``: floored iterated logarithms and the scaling/centering
-  normalizer pairs of the running-max statistic.
+  normalizer pair of the running-max statistic.
 - ``models``: the catalogue of isotropic increment laws (gaussian, signs,
   cube, and calibrated radius ladders) with exact truncated moments.
 - ``truncation``: truncation-level schemes, the read-only normalizer-matrix
   sequence, and the growth-window/tail-condition validators.
 - ``walkstats``: single-pass streaming evaluation of the centered running-max
-  statistics, the slow-growth supremum statistic, and boundary-crossing
-  counts.
+  statistic in its classical, self-normalized and Feller modes.
 - ``limits``: the Gumbel limit family, norm-tail functions and envelopes,
   sub-Gaussian norm tail bounds, the variance-deficit density ratio, and
   the boundary-series convergence classifier with its partial-sum probe.
@@ -44,4 +43,4 @@ from .models import (  # noqa: F401
     uniform_cube,
 )
 from .truncation import GammaSequence, sqrt_n, sqrt_n_invLL5, sqrt_n_polylog  # noqa: F401
-from .walkstats import de_statistic, lil_crossings, lil_sup_statistic, trajectory  # noqa: F401
+from .walkstats import de_statistic, trajectory  # noqa: F401

@@ -33,7 +33,7 @@ from .harness import (
     read_records_csv,
     record_row,
     reference_from_parser,
-    replication_seed,
+    replicate,
     run_and_persist,
     run_experiment,
 )
@@ -57,7 +57,6 @@ from .truncation import (
     validate_growth_window,
     validate_tail_condition,
 )
-from .walkstats import de_statistic, trajectory
 
 DEFAULT_OUT = "runs"
 _DRIVER_GRID = tuple(10**j for j in range(2, 9))
@@ -474,9 +473,7 @@ def cmd_replay(args) -> int:
     gs = None
     if cfg.scheme is not None:
         gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
-    traj = trajectory(cfg.law, cfg.n, replication_seed(cfg.master_seed, index))
-    rec = de_statistic(traj, gs, cfg.mode)
-    fresh = record_row(index, rec)
+    fresh = record_row(index, replicate(cfg, gs, index))
     stored = ",".join(
         rows[index][col] for col in
         ("replication_index", "mode", "value", "argmax_k", "n", "d", "seed")

@@ -226,6 +226,15 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
+def replicate(
+    cfg: ExperimentConfig, gs: Optional[GammaSequence], index: int
+) -> StatRecord:
+    """Replication ``index`` of ``cfg``: the walk of its child seed, reduced by
+    ``de_statistic`` against the experiment's shared normalizer sequence."""
+    traj = trajectory(cfg.law, cfg.n, replication_seed(cfg.master_seed, index))
+    return de_statistic(traj, gs, cfg.mode)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[StatRecord]:
     """Execute all replications; the result never depends on ``threads``."""
     if threads < 1:
@@ -233,16 +242,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[StatRecord]:
     gs = None
     if cfg.scheme is not None:
         gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
-
-    def one(index: int) -> StatRecord:
-        traj = trajectory(cfg.law, cfg.n, replication_seed(cfg.master_seed, index))
-        return de_statistic(traj, gs, cfg.mode)
-
     indices = range(cfg.replications)
     if threads == 1:
-        return [one(r) for r in indices]
+        return [replicate(cfg, gs, r) for r in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, indices))
+        return list(pool.map(lambda r: replicate(cfg, gs, r), indices))
 
 
 # ---------------------------------------------------------------------------

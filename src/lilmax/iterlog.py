@@ -4,15 +4,10 @@ The base map is L(t) = log(max(t, e)), so every composition is >= 1 and
 monotone nondecreasing.  Depths 1..4 are written LL, LLL, LLLL in comments
 and variable names throughout the package.
 
-Two normalizer bundles are derived here:
-
-* ``normalizers(n, d)``: the scale a_n = sqrt(2 LL n) and the dimension-aware
-  centering b = 2 LL n + (d/2) LLL n - log Gamma(d/2) used by the max
-  statistics.  At d = 1 this reduces to 2 LL n + LLL n / 2 - log(pi)/2 because
-  Gamma(1/2) = sqrt(pi).
-* ``lil_sup_normalizer(n)``: scale and centering for the sup-over-tail
-  statistic 2 LL n (sup_{k>=n} |S_k| / sqrt(2 k LL k) - 1); its centering
-  constant is log(3/sqrt(8)).
+``normalizers(n, d)`` derives the scale a_n = sqrt(2 LL n) and the
+dimension-aware centering b = 2 LL n + (d/2) LLL n - log Gamma(d/2) of the
+running-max statistic.  At d = 1 this reduces to 2 LL n + LLL n / 2 - log(pi)/2
+because Gamma(1/2) = sqrt(pi).
 """
 
 from __future__ import annotations
@@ -71,28 +66,3 @@ def normalizers(n, d: int) -> NormalizerSet:
     a_n = math.sqrt(2.0 * ll)
     b_dn = 2.0 * ll + 0.5 * d * lll - math.lgamma(0.5 * d)
     return NormalizerSet(n=float(n), d=d, a_n=a_n, b_dn=b_dn)
-
-
-#: Centering constant of the sup-over-tail statistic: log(3/sqrt(8)).
-LIL_SUP_CONSTANT = math.log(3.0) - 1.5 * math.log(2.0)
-
-
-@dataclass(frozen=True)
-class LilSupNormalizer:
-    """Scale and centering for the sup-over-tail statistic at start index n.
-
-    The statistic is  scale * (sup - 1) - center  with
-    scale = 2 LL n and center = 1.5 LLL n - LLLL n - log(3/sqrt(8)).
-    """
-
-    n: float
-    scale: float
-    center: float
-
-
-def lil_sup_normalizer(n) -> LilSupNormalizer:
-    if n < 1:
-        raise ValueError(f"start index must be >= 1, got {n}")
-    scale = 2.0 * iterlog(n, 2)
-    center = 1.5 * iterlog(n, 3) - iterlog(n, 4) - LIL_SUP_CONSTANT
-    return LilSupNormalizer(n=float(n), scale=scale, center=center)

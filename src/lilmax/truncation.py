@@ -46,7 +46,7 @@ import numpy as np
 
 from .iterlog import iterlog
 from .models import IncrementLaw, law_id, prob_tail, radial_profile, tail_profile
-from .psdmat import NearSingularError, SymPSD
+from .psdmat import NearSingularError
 
 SCHEME_FAMILIES = ("sqrt_n", "sqrt_n_invLL5", "sqrt_n_polylog", "table")
 
@@ -195,17 +195,6 @@ def scheme_to_mapping(scheme: TruncationScheme) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaView:
-    """Normalizer data at one index: Gamma_n, its inverse, extreme eigenvalues."""
-
-    n: int
-    gamma: SymPSD
-    gamma_inv: SymPSD
-    lambda_min: float
-    lambda_max: float
-
-
 def _checkpoint_indices(n_max: int) -> np.ndarray:
     exact = np.arange(1, min(n_max, EXACT_LIMIT) + 1)
     if n_max <= EXACT_LIMIT:
@@ -263,16 +252,12 @@ class GammaSequence:
         n_max: int,
         *,
         n0: Optional[int] = None,
-        lambda_floor: float = LAMBDA_FLOOR,
-        jump_budget: float = JUMP_BUDGET,
     ):
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         self.law = law
         self.scheme = scheme
         self.n_max = int(n_max)
-        self.lambda_floor = float(lambda_floor)
-        self.jump_budget = float(jump_budget)
 
         if n0 is None:
             self.n0 = self._default_n0()
@@ -284,17 +269,16 @@ class GammaSequence:
         self.jump_horizon_sup = self._jump_sup(self.n0, self.n_max, with_rungs=True)
 
         self._ns = _checkpoint_indices(self.n_max)
-        floored = np.maximum(self._ns, self.n0)
-        self._c = c_levels(scheme, floored)
+        c = c_levels(scheme, np.maximum(self._ns, self.n0))
 
         # every catalogue law is isotropic: A(c)^2 = a(c) * I
-        self._scale = np.sqrt(np.clip(np.asarray(radial_profile(law, self._c)), 0.0, None))
-        bad = self._scale < self.lambda_floor * (1.0 - 1e-12)
+        self._scale = np.sqrt(np.clip(np.asarray(radial_profile(law, c)), 0.0, None))
+        bad = self._scale < LAMBDA_FLOOR * (1.0 - 1e-12)
         if bad.any():
             first = int(self._ns[np.argmax(bad)])
             raise NearSingularError(
                 f"Gamma_{first} has eigenvalue {self._scale[bad][0]:.3g} below "
-                f"the floor {self.lambda_floor}; n0 = {self.n0} is misconfigured"
+                f"the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
 
     # -- construction helpers ------------------------------------------------
@@ -305,20 +289,20 @@ class GammaSequence:
         n_eig = 1
         while n_eig <= self.n_max:
             a = float(radial_profile(law, c_level(scheme, n_eig)))
-            if math.sqrt(max(a, 0.0)) >= self.lambda_floor:
+            if math.sqrt(max(a, 0.0)) >= LAMBDA_FLOOR:
                 break
             n_eig += 1
         else:
             raise NearSingularError(
                 f"no index up to {self.n_max} reaches the eigenvalue floor "
-                f"{self.lambda_floor} for {law_id(law)}"
+                f"{LAMBDA_FLOOR} for {law_id(law)}"
             )
         # jump-visibility clause on the early window
         w = min(self.n_max, JUMP_WINDOW)
         ks = np.arange(1, w + 1)
         psi = ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))
         suffix = np.maximum.accumulate(psi[::-1])[::-1]
-        ok = suffix <= self.jump_budget
+        ok = suffix <= JUMP_BUDGET
         if ok.any():
             return max(n_eig, int(ks[np.argmax(ok)]))
         return n_eig  # window clause unsatisfiable: eigenvalue clause decides
@@ -336,26 +320,6 @@ class GammaSequence:
         return float(psi.max())
 
     # -- lookups ---------------------------------------------------------------
-
-    def _index_of(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"index {n} outside 1..{self.n_max}")
-        if n <= EXACT_LIMIT:
-            return n - 1
-        return int(np.searchsorted(self._ns, n, side="right")) - 1
-
-    def gamma_at(self, n: int) -> GammaView:
-        s = float(self._scale[self._index_of(n)])
-        if s <= 1e-8:
-            raise NearSingularError(f"Gamma_{n} is numerically singular (scale {s:.3g})")
-        d = self.law.d
-        return GammaView(
-            n=n,
-            gamma=SymPSD.scaled_identity(d, s),
-            gamma_inv=SymPSD.scaled_identity(d, 1.0 / s),
-            lambda_min=s,
-            lambda_max=s,
-        )
 
     def inv_scale(self, ns) -> np.ndarray:
         """Vectorized 1/lambda(Gamma_n) (hot path)."""
@@ -547,33 +511,3 @@ def validate_tail_condition(law: IncrementLaw, which: str, t_grid) -> TailCondit
         verdict=verdict,
         analytic=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# triple split
-# ---------------------------------------------------------------------------
-
-SPLIT_LABELS = ("prime", "double_prime", "triple_prime")
-
-
-def split_thresholds(n: int) -> tuple[float, float]:
-    """(lower, upper) = (sqrt(n)/(LLn)^5, sqrt(n * LLn)); ordered for all n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ll = float(iterlog(n, 2))
-    return math.sqrt(n) / ll**5, math.sqrt(n * ll)
-
-
-def triple_split(x, n: int) -> str:
-    """Classify an increment at time n by magnitude band.
-
-    prime: |x| <= sqrt(n)/(LLn)^5; double_prime: up to and including
-    sqrt(n * LLn); triple_prime: beyond.
-    """
-    lo, hi = split_thresholds(n)
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    if r <= lo:
-        return "prime"
-    if r <= hi:
-        return "double_prime"
-    return "triple_prime"

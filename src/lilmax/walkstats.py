@@ -1,6 +1,6 @@
 """Streaming trajectory statistics for normalized random-walk maxima.
 
-Every statistic is a small reducer over one scan, ``_scan``, which consumes
+The statistic is a small reducer over one scan, ``_scan``, which consumes
 a trajectory once, in fixed-size blocks: partial sums within a block come
 from a vectorized cumulative sum, and the running total carried across
 blocks uses Neumaier-compensated summation so the drift at horizons up to
@@ -32,20 +32,18 @@ at ``GammaSequence.n0``; feller reads B_k from ``GammaSequence.feller_bn``,
 which floors at the scheme's n0 (1 for ``sqrt_n``): a higher floor would
 change the statistic.
 
-The slower-growing supremum statistic over k >= n and the boundary-crossing
-counter complete the set.  Ties in any argmax resolve to the smallest index
-for replay determinism.
+Ties in the argmax resolve to the smallest index for replay determinism.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .iterlog import iterlog, lil_sup_normalizer, normalizers
+from .iterlog import normalizers
 # radial_profile and c_levels stay imported: perfbench/tracing.py patches them here.
 from .models import IncrementLaw, law_id, radial_profile, sample  # noqa: F401
 from .psdmat import MAX_DIM
@@ -77,9 +75,11 @@ class Trajectory:
         if (self.seed is None) == (self.increments is None):
             raise ValueError("exactly one of seed or increments must be given")
         if self.increments is not None:
-            x = np.asarray(self.increments, dtype=float)
+            # stored C-ordered float64: numpy sums other layouts in another order
+            x = np.ascontiguousarray(self.increments, dtype=float)
             if x.ndim != 2 or x.shape != (self.n, self.law.d):
                 raise ValueError(f"increments must have shape ({self.n}, {self.law.d})")
+            object.__setattr__(self, "increments", x)
 
 
 def trajectory(law: IncrementLaw, n: int, seed) -> Trajectory:
@@ -90,7 +90,7 @@ def trajectory(law: IncrementLaw, n: int, seed) -> Trajectory:
 
 def from_increments(law: IncrementLaw, increments) -> Trajectory:
     """Deterministic trajectory from an explicit (n, d) increment array."""
-    x = np.asarray(increments, dtype=float)
+    x = np.asarray(increments)
     if x.ndim == 1:
         x = x[:, None]
     return Trajectory(
@@ -106,33 +106,25 @@ def _seed_label(seed) -> str:
     return str(seed)
 
 
-def _scan(traj: Trajectory, lo: int = 1, hi: Optional[int] = None):
-    """Yield (ks, S_rows) for the indices k in [lo, hi], block by block.
+def _scan(traj: Trajectory):
+    """Yield (ks, S_rows) for k = 1..n, block by block.
 
-    Blocks are drawn in the horizon-fixed pattern whatever the window, so a
-    seed replays the same walk; drawing stops once a block starts past hi.
-    S_rows is a view of the block's one cumulative sum with the
-    Neumaier-compensated total carried from earlier blocks added in place.
+    S_rows is the block's one cumulative sum with the Neumaier-compensated
+    total carried from earlier blocks added in place.
     """
-    hi = traj.n if hi is None else hi
     rng = None if traj.increments is not None else np.random.default_rng(traj.seed)
     total = np.zeros(traj.law.d)
     comp = np.zeros(traj.law.d)
     for off in range(0, traj.n, BLOCK):
-        if off >= hi:
-            return
         m = min(BLOCK, traj.n - off)
         block = sample(traj.law, rng, m) if rng is not None else traj.increments[off : off + m]
         rows = np.cumsum(block, axis=0)
         block_sum = _block_sum(block, rows)
         del block  # only the cumsum buffer stays alive while the reducer runs
-        if off + m >= lo:
-            a, b = max(lo - off, 1), min(hi - off, m)
-            s_rows = rows[a - 1 : b]
-            # column by column: a broadcast over rows of length d is several times slower
-            for j, c in enumerate(total + comp):
-                s_rows[:, j] += c
-            yield np.arange(off + a, off + b + 1), s_rows
+        # column by column: a broadcast over rows of length d is several times slower
+        for j, c in enumerate(total + comp):
+            rows[:, j] += c
+        yield np.arange(off + 1, off + m + 1), rows
         t = total + block_sum
         big = np.abs(total) >= np.abs(block_sum)
         comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
@@ -142,11 +134,12 @@ def _scan(traj: Trajectory, lo: int = 1, hi: Optional[int] = None):
 def _block_sum(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``block.sum(axis=0)`` bit for bit, given ``rows = np.cumsum(block, axis=0)``.
 
-    numpy sums a C-ordered (m, d >= 2) array over axis 0 row by row, which is
-    exactly the cumulative sum's last row.  A single column, or a block in
-    any other layout, is summed pairwise instead, so it is summed again.
+    Every block is C-ordered (``Trajectory`` stores its increments so, and
+    ``sample`` draws so), and numpy sums a C-ordered (m, d >= 2) array over
+    axis 0 row by row, which is exactly the cumulative sum's last row.  A
+    single column is summed pairwise instead, so it is summed again.
     """
-    if block.shape[1] > 1 and block.flags.c_contiguous:
+    if block.shape[1] > 1:
         return rows[-1].copy()
     return block.sum(axis=0)
 
@@ -168,11 +161,11 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def _running_max(traj: Trajectory, ratio, lo: int = 1, hi: Optional[int] = None):
-    """(max, argmax k) of ratio(ks, S_rows) over k in [lo, hi]; ties go to the smallest k."""
+def _running_max(traj: Trajectory, ratio):
+    """(max, argmax k) of ratio(ks, S_rows) over k = 1..n; ties go to the smallest k."""
     best = -np.inf
-    best_k = lo
-    for ks, s_rows in _scan(traj, lo, hi):
+    best_k = 1
+    for ks, s_rows in _scan(traj):
         ratios = ratio(ks, s_rows)
         i = int(np.argmax(ratios))
         if ratios[i] > best:
@@ -199,28 +192,14 @@ class StatRecord:
     scheme: str
     seed: str
     max_ratio: float
-    horizon_cap: Optional[int] = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"statistic value is not finite: {self.value}")
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
-    """Boundary-crossing count over an index range."""
-
-    count: int
-    last_k: Optional[int]
-    first_k: Optional[int]
-    n_lo: int
-    n_hi: int
-    law: str
-    seed: str
-
-
 # ---------------------------------------------------------------------------
-# the running-max statistics
+# the running-max statistic
 # ---------------------------------------------------------------------------
 
 
@@ -277,100 +256,4 @@ def de_statistic(
         scheme=scheme_id(gs.scheme) if gs is not None else "none",
         seed=traj.seed_label,
         max_ratio=best,
-    )
-
-
-def lil_sup_statistic(
-    traj: Trajectory,
-    gs: Optional[GammaSequence],
-    n_start: int,
-    horizon_cap: Optional[int] = None,
-) -> StatRecord:
-    """Centered slow-growth supremum over k in [n_start, cap].
-
-    Evaluates 2LL(n) * (max_k |S_k| / (sqrt(2 k LLk) sigma_k) - 1) minus the
-    slow centering 1.5 LLL(n) - LLLL(n) - log(3/sqrt(8)).  With gs given,
-    sigma_k is the scalar scale of Gamma_k (d = 1); without it sigma_k = 1.
-    The true statistic takes a supremum over all k >= n_start; the cap makes
-    this a finite-horizon approximation and is recorded on the result rather
-    than hidden.
-    """
-    if traj.law.d != 1:
-        raise ValueError("the supremum statistic is defined for d = 1")
-    cap = traj.n if horizon_cap is None else int(horizon_cap)
-    if cap < n_start:
-        raise ValueError(f"horizon cap {cap} is below the start index {n_start}")
-    if cap > traj.n:
-        raise ValueError(f"horizon cap {cap} exceeds the trajectory horizon {traj.n}")
-    if n_start < 1:
-        raise ValueError("start index must be >= 1")
-    if gs is not None:
-        _check_gs(traj, gs)
-
-    def ratio(ks, s_rows):
-        denom = np.sqrt(2.0 * ks * np.asarray(iterlog(ks, 2), dtype=float))
-        if gs is not None:
-            denom = denom / gs.inv_scale(ks)
-        return np.abs(s_rows[:, 0]) / denom
-
-    best, best_k = _running_max(traj, ratio, n_start, cap)
-    norm = lil_sup_normalizer(n_start)
-    return StatRecord(
-        mode="lil_sup",
-        value=norm.scale * (best - 1.0) - norm.center,
-        n=n_start,
-        argmax_k=best_k,
-        d=1,
-        law=law_id(traj.law),
-        scheme=scheme_id(gs.scheme) if gs is not None else "unit",
-        seed=traj.seed_label,
-        max_ratio=best,
-        horizon_cap=cap,
-    )
-
-
-def lil_crossings(
-    traj: Trajectory,
-    gs: Optional[GammaSequence],
-    phi: Callable[[np.ndarray], np.ndarray],
-    n_lo: int,
-    n_hi: int,
-) -> CrossingRecord:
-    """Count indices k in [n_lo, n_hi] with |Gamma_k^{-1} S_k| > sqrt(k) phi(k).
-
-    ``phi`` is evaluated vectorized; it must raise on indices where its
-    square would be negative (the boundary family does).  With gs = None the
-    normalization is the identity.
-    """
-    if n_lo < 3:
-        raise ValueError("crossing range must start at n_lo >= 3")
-    if n_hi < n_lo:
-        raise ValueError("empty crossing range")
-    if n_hi > traj.n:
-        raise ValueError(f"range end {n_hi} exceeds trajectory horizon {traj.n}")
-    if gs is not None:
-        _check_gs(traj, gs)
-
-    count = 0
-    first_k: Optional[int] = None
-    last_k: Optional[int] = None
-    for ks, rows in _scan(traj, n_lo, n_hi):
-        if gs is not None:
-            rows = gs.inv_apply(ks, rows)
-        bound = np.sqrt(ks) * np.asarray(phi(ks), dtype=float)
-        idx = np.flatnonzero(_row_norm(rows) > bound)
-        if idx.size:
-            count += int(idx.size)
-            if first_k is None:
-                first_k = int(ks[idx[0]])
-            last_k = int(ks[idx[-1]])
-
-    return CrossingRecord(
-        count=count,
-        last_k=last_k,
-        first_k=first_k,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        law=law_id(traj.law),
-        seed=traj.seed_label,
     )

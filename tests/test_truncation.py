@@ -1,4 +1,4 @@
-"""Tests for truncation schemes, Gamma sequences, validators, and the split.
+"""Tests for truncation schemes, Gamma sequences, and validators.
 
 Level formulas are pinned against the iterated-log oracle, the Feller
 running variance against a 40-digit incomplete-gamma sum, and the Gamma
@@ -264,38 +264,41 @@ def test_ladder_jump_bookkeeping():
     )
 
 
+def _gamma(gs, n: int) -> SymPSD:
+    """Gamma_n rebuilt from the cached 1/lambda(Gamma_n)."""
+    return SymPSD.scaled_identity(gs.law.d, 1.0 / float(gs.inv_scale([n])[0]))
+
+
 def test_rademacher_gamma_is_exact_identity():
     gs = T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 1000)
-    for n in (1, 2, 3, 50, 1000):
-        view = gs.gamma_at(n)
-        np.testing.assert_array_equal(view.gamma.entries, np.eye(2))
-        np.testing.assert_array_equal(view.gamma_inv.entries, np.eye(2))
-        assert view.lambda_min == 1.0 == view.lambda_max
+    ns = [1, 2, 3, 50, 1000]
+    assert np.array_equal(gs.inv_scale(ns), np.ones(len(ns)))
+    rows = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(gs.inv_apply(ns, rows), rows)
 
 
 def test_gaussian_gamma_converges_to_identity():
     gs = T.GammaSequence(M.gaussian_iso(2), T.sqrt_n(), 10**5)
-    view = gs.gamma_at(10**5)
-    np.testing.assert_allclose(view.gamma.entries, np.eye(2), atol=1e-6)
+    np.testing.assert_allclose(_gamma(gs, 10**5).entries, np.eye(2), atol=1e-6)
 
 
 def test_gamma_squared_reproduces_truncated_moment():
     for law in [M.gaussian_iso(1), M.uniform_cube(2), M.atom_ladder(0.5, 2, d=1)]:
         gs = T.GammaSequence(law, T.sqrt_n(), 20000)
         for n in (1, 7, 100, 9999, 15000, 20000):
-            view = gs.gamma_at(n)
-            c_eff = T.c_level(gs.scheme, max(n if n <= T.EXACT_LIMIT else gs._ns[gs._index_of(n)], gs.n0))
+            held = gs._ns[np.searchsorted(gs._ns, n, side="right") - 1]
+            c_eff = T.c_level(gs.scheme, max(int(held), gs.n0))
             want = M.truncated_second_moment(law, c_eff)
-            got = view.gamma.entries @ view.gamma.entries
-            np.testing.assert_allclose(got, want.entries, atol=1e-9)
+            g = _gamma(gs, n).entries
+            np.testing.assert_allclose(g @ g, want.entries, atol=1e-9)
 
 
 def test_gamma_loewner_monotone_along_cache():
     gs = T.GammaSequence(M.gaussian_iso(2), T.sqrt_n(), 15000)
     picks = [1, 2, 5, 17, 100, 2500, 9999, 10000, 12000, 15000]
-    views = [gs.gamma_at(n) for n in picks]
-    for a, b in zip(views, views[1:]):
-        assert loewner_leq(a.gamma, b.gamma)
+    gammas = [_gamma(gs, n) for n in picks]
+    for a, b in zip(gammas, gammas[1:]):
+        assert loewner_leq(a, b)
 
 
 def test_gamma_checkpoint_hold_and_exact_region():
@@ -309,11 +312,11 @@ def test_gamma_checkpoint_hold_and_exact_region():
     n = int(above[5])
     nxt = int(above[6])
     if nxt - n > 1:
-        assert gs.gamma_at(n + 1).lambda_min == gs.gamma_at(n).lambda_min
+        assert gs.inv_scale([n + 1]) == gs.inv_scale([n])
     # exact region: consecutive n past the n0 floor differ
-    assert gs.gamma_at(50).lambda_min != gs.gamma_at(51).lambda_min
+    assert gs.inv_scale([50]) != gs.inv_scale([51])
     # below the floor they are constant by the c_{n v n0} device
-    assert gs.gamma_at(1).lambda_min == gs.gamma_at(gs.n0).lambda_min
+    assert gs.inv_scale([1]) == gs.inv_scale([gs.n0])
 
 
 def test_checkpointed_scale_close_to_dense():
@@ -323,14 +326,6 @@ def test_checkpointed_scale_close_to_dense():
     held = 1.0 / gs.inv_scale(ks)
     exact = np.sqrt(np.asarray(M.radial_profile(M.gaussian_iso(1), T.c_levels(gs.scheme, np.maximum(ks, gs.n0)))))
     assert np.max(np.abs(held - exact)) < 1e-4
-
-
-def test_inv_scale_matches_views():
-    gs = T.GammaSequence(M.uniform_cube(1), T.sqrt_n(), 5000)
-    ks = np.asarray([1, 2, 3, 10, 99, 4999])
-    inv = gs.inv_scale(ks)
-    for k, v in zip(ks, inv):
-        assert v == pytest.approx(1.0 / gs.gamma_at(int(k)).lambda_min, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_max", [5000, 10000, 10001, 123457])
@@ -375,59 +370,16 @@ def test_scaled_identity_errors_match_from_array():
 def test_gamma_bounds_and_errors():
     gs = T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 100)
     with pytest.raises(ValueError):
-        gs.gamma_at(0)
-    with pytest.raises(ValueError):
-        gs.gamma_at(101)
-    with pytest.raises(ValueError):
         gs.inv_scale([0])
+    with pytest.raises(ValueError):
+        gs.inv_scale([101])
+    with pytest.raises(ValueError):
+        gs.inv_apply([101], np.zeros((1, 1)))
     with pytest.raises(ValueError):
         T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 0)
     # forcing n0 = 1 on rademacher d=2 leaves Gamma_1 singular: loud failure
     with pytest.raises(NearSingularError):
         T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 100, n0=1)
-
-
-# ---------------------------------------------------------------------------
-# triple split
-# ---------------------------------------------------------------------------
-
-
-def test_triple_split_examples():
-    assert T.triple_split(0.0, 10) == "prime"
-    n = 100
-    hi = math.sqrt(n * float(iterlog(n, 2)))
-    assert T.triple_split(hi, n) == "double_prime"  # boundary inclusive
-    assert T.triple_split(2 * hi, n) == "triple_prime"
-    lo = math.sqrt(n) / float(iterlog(n, 2)) ** 5
-    assert T.triple_split(lo, n) == "prime"  # lower boundary inclusive
-    assert T.triple_split(np.nextafter(lo, np.inf), n) == "double_prime"
-    # vector input classifies by euclidean norm
-    assert T.triple_split(np.asarray([3.0, 4.0]), 10**6) == "prime"
-
-
-@given(n=st.integers(1, 10**9))
-@settings(max_examples=200, deadline=None)
-def test_split_thresholds_ordered(n):
-    lo, hi = T.split_thresholds(n)
-    assert 0 < lo <= hi
-
-
-@given(n=st.integers(1, 10**7), r=st.floats(0, 1e6))
-@settings(max_examples=200, deadline=None)
-def test_split_is_a_partition(n, r):
-    label = T.triple_split(r, n)
-    lo, hi = T.split_thresholds(n)
-    if r <= lo:
-        assert label == "prime"
-    elif r <= hi:
-        assert label == "double_prime"
-    else:
-        assert label == "triple_prime"
-
-
-def test_split_rejects_bad_index():
-    with pytest.raises(ValueError):
-        T.triple_split(1.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lilmax.iterlog import iterlog, lil_sup_normalizer, normalizers
+from lilmax.iterlog import normalizers
 from lilmax.models import gaussian_iso, rademacher_product, sample, uniform_cube
 from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
 from lilmax import walkstats
 from lilmax.walkstats import (
     BLOCK,
-    CrossingRecord,
     StatRecord,
     Trajectory,
     de_statistic,
     from_increments,
-    lil_crossings,
-    lil_sup_statistic,
     trajectory,
 )
 
@@ -33,8 +30,6 @@ from lilmax.walkstats import (
 NEG_B_1_1 = -1.9276350570752998
 # mpmath: sqrt(2) - b_{1,2}  (LL(2) floors to 1, so b_{1,2} = b_{1,1})
 TOY_TWO_STEP = -0.5134214947022049
-# mpmath: -2 LL(100) - 1.5 + 1 + log(3) - 1.5 log(2)
-LIL_SUP_ZERO_100 = -3.4954677337876103
 
 
 class _ScaledGamma:
@@ -172,23 +167,25 @@ def test_streaming_matches_two_pass(mode):
     assert rec.max_ratio == float(ratios[i])
 
 
-# Frozen (value, argmax_k, max_ratio) at n = 2 * BLOCK + 10.  The seeds put
+# Frozen (value, argmax_k, max_ratio).  At n = 2 * BLOCK + 10 the seeds put
 # each argmax in the second block, so the carried first-block total feeds the
-# winning partial sum.
+# winning partial sum.  The Neumaier compensation rounds away until it has
+# built up over many blocks: the n = 10^6 walk has its argmax in block 11,
+# where dropping the compensation moves all three fields.
 MULTIBLOCK_ORACLE = [
-    ("self_normalized", uniform_cube(2), 11, 1.0064026748921657, 63986, 3.1083016745538776),
-    ("self_normalized", gaussian_iso(3), 18, -0.9045618663103028, 53193, 2.5201623904156403),
-    ("classical", gaussian_iso(1), 1, 0.32622335036936434, 58735, 2.3093912197853905),
-    ("classical", gaussian_iso(8), 47, 1.3637418866082944, 41700, 3.8219829477060525),
+    ("self_normalized", uniform_cube(2), 11, 1.0064026748921657, 63986, 3.1083016745538776, 2 * BLOCK + 10),
+    ("self_normalized", gaussian_iso(3), 18, -0.9045618663103028, 53193, 2.5201623904156403, 2 * BLOCK + 10),
+    ("classical", gaussian_iso(1), 1, 0.32622335036936434, 58735, 2.3093912197853905, 2 * BLOCK + 10),
+    ("classical", gaussian_iso(8), 47, 1.3637418866082944, 41700, 3.8219829477060525, 2 * BLOCK + 10),
+    ("classical", gaussian_iso(1), 9, 0.5203460500679604, 335033, 2.487118940384478, 10**6),
 ]
 
 
-@pytest.mark.parametrize("mode,law,seed,value,argmax_k,max_ratio", MULTIBLOCK_ORACLE)
-def test_multiblock_frozen_oracle(mode, law, seed, value, argmax_k, max_ratio):
-    n = 2 * BLOCK + 10
+@pytest.mark.parametrize("mode,law,seed,value,argmax_k,max_ratio,n", MULTIBLOCK_ORACLE)
+def test_multiblock_frozen_oracle(mode, law, seed, value, argmax_k, max_ratio, n):
     gs = GammaSequence(law, sqrt_n(), n) if mode == "self_normalized" else None
     rec = de_statistic(trajectory(law, n, seed), gs, mode)
-    assert BLOCK < rec.argmax_k <= 2 * BLOCK
+    assert rec.argmax_k > BLOCK
     assert rec.value == value
     assert rec.argmax_k == argmax_k
     assert rec.max_ratio == max_ratio
@@ -210,11 +207,11 @@ def test_row_norm_matches_linalg_norm_bitwise(d):
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("m", [BLOCK, 1001])
 def test_block_sum_rule_matches_sum_bitwise(d, m):
-    """Pins numpy's axis-0 reduction order for the carried block total."""
+    """Pins numpy's axis-0 reduction order for the carried block total of a
+    C-ordered block, the only layout a scan sees."""
     block = np.random.default_rng(m + d).standard_normal((m, d))
-    for arr in (block, np.asfortranarray(block)):
-        got = walkstats._block_sum(arr, np.cumsum(arr, axis=0))
-        assert np.array_equal(got.view(np.int64), arr.sum(axis=0).view(np.int64))
+    got = walkstats._block_sum(block, np.cumsum(block, axis=0))
+    assert np.array_equal(got.view(np.int64), block.sum(axis=0).view(np.int64))
 
 
 def test_multiblock_carry_and_tie_break():
@@ -345,213 +342,30 @@ def test_from_increments_promotes_1d():
     assert traj.seed_label == "increments"
 
 
-# ---------------------------------------------------------------------------
-# slow-growth supremum statistic
-# ---------------------------------------------------------------------------
-
-
-def test_lil_sup_zero_walk_frozen():
-    law = gaussian_iso(1)
-    traj = from_increments(law, np.zeros((100, 1)))
-    rec = lil_sup_statistic(traj, None, 100)
-    assert rec.value == pytest.approx(LIL_SUP_ZERO_100, abs=1e-12)
-    assert rec.max_ratio == 0.0
-    assert rec.mode == "lil_sup"
-    assert rec.horizon_cap == 100
-    assert rec.n == 100
-
-
-def test_lil_sup_single_point_identity():
-    """With cap = start the sup has one term; an increment placed to make
-    the ratio exactly 1 isolates the centering constant."""
-    law = gaussian_iso(1)
-    k = 50
-    x = np.zeros((k, 1))
-    x[0, 0] = math.sqrt(2.0 * k * iterlog(k, 2))
-    rec = lil_sup_statistic(from_increments(law, x), None, k, horizon_cap=k)
-    assert rec.max_ratio == 1.0
-    assert rec.argmax_k == k
-    assert rec.value == -lil_sup_normalizer(k).center
-
-
-def test_lil_sup_unit_sigma_matches_none():
-    law = rademacher_product(1)
-    gs = GammaSequence(law, sqrt_n(), 2000)
-    traj = trajectory(law, 2000, 23)
-    with_gs = lil_sup_statistic(traj, gs, 100, horizon_cap=2000)
-    without = lil_sup_statistic(traj, None, 100, horizon_cap=2000)
-    assert with_gs.value == without.value
-    assert with_gs.argmax_k == without.argmax_k
-
-
-def test_lil_sup_spans_blocks():
-    law = gaussian_iso(1)
-    n = BLOCK + 500
-    x = np.zeros((n, 1))
-    target = BLOCK + 100
-    x[0, 0] = 2.0 * math.sqrt(2.0 * target * iterlog(target, 2))
-    rec = lil_sup_statistic(from_increments(law, x), None, BLOCK + 50)
-    # constant walk: ratio k -> |S|/sqrt(2 k LLk) is decreasing, so the
-    # argmax is the first admissible index
-    assert rec.argmax_k == BLOCK + 50
-    assert rec.max_ratio > 1.0
-
-
-def test_lil_sup_window_across_blocks_matches_two_pass(monkeypatch):
-    """A window [BLOCK - 40, BLOCK + 7] straddling the block boundary equals
-    the two-pass sup over np.cumsum bit for bit (grid increments keep every
-    partial sum exact), and a seeded walk never draws the block past the cap."""
-    law = gaussian_iso(1)
+@pytest.mark.parametrize("layout", ["list", "int", "fortran"])
+def test_increments_stored_as_c_float(layout):
+    """List, integer and Fortran-ordered increments give the record of the
+    same values as a C-ordered float64 array, bit for bit, past one block."""
+    law = gaussian_iso(3)
     n = 2 * BLOCK + 10
-    start, cap = BLOCK - 40, BLOCK + 7
-    x = np.round(np.random.default_rng(1608).standard_normal((n, 1)) * 4096.0) / 4096.0
-    x[start:] += np.sign(x[:start].sum())  # |S_k| drifts up past the boundary
-    gs = GammaSequence(law, sqrt_n(), n)
-    rec = lil_sup_statistic(from_increments(law, x), gs, start, horizon_cap=cap)
-
-    ks = np.arange(start, cap + 1)
-    denom = np.sqrt(2.0 * ks * np.asarray(iterlog(ks, 2), dtype=float))
-    ratios = np.abs(np.cumsum(x[:, 0])[ks - 1]) / (denom / gs.inv_scale(ks))
-    i = int(np.argmax(ratios))
-    assert ks[i] > BLOCK
-    norm = lil_sup_normalizer(start)
-    assert rec.max_ratio == float(ratios[i])
-    assert rec.argmax_k == int(ks[i])
-    assert rec.value == norm.scale * (float(ratios[i]) - 1.0) - norm.center
-    assert rec.horizon_cap == cap
-
-    drawn = []
-
-    def counting_sample(law, rng, size):
-        drawn.append(size)
-        return sample(law, rng, size)
-
-    monkeypatch.setattr(walkstats, "sample", counting_sample)
-    lil_sup_statistic(trajectory(law, n, 7), None, start, horizon_cap=cap)
-    assert drawn == [BLOCK, BLOCK]
-
-
-def test_lil_sup_validation():
-    law = gaussian_iso(1)
-    traj = from_increments(law, np.zeros((100, 1)))
-    with pytest.raises(ValueError, match="cap"):
-        lil_sup_statistic(traj, None, 50, horizon_cap=40)
-    with pytest.raises(ValueError, match="cap"):
-        lil_sup_statistic(traj, None, 50, horizon_cap=200)
-    with pytest.raises(ValueError, match="start"):
-        lil_sup_statistic(traj, None, 0)
-    with pytest.raises(ValueError, match="d = 1"):
-        lil_sup_statistic(
-            from_increments(gaussian_iso(2), np.zeros((10, 2))), None, 5
-        )
-
-
-# ---------------------------------------------------------------------------
-# boundary crossings
-# ---------------------------------------------------------------------------
-
-
-def _unit_boundary(ks):
-    return np.ones(np.shape(ks))
-
-
-def test_crossings_zero_walk():
-    law = gaussian_iso(1)
-    traj = from_increments(law, np.zeros((50, 1)))
-    rec = lil_crossings(traj, None, _unit_boundary, 3, 50)
-    assert rec.count == 0
-    assert rec.first_k is None and rec.last_k is None
-
-
-def test_crossings_zero_boundary_counts_everything():
-    law = gaussian_iso(1)
-    traj = from_increments(law, np.ones((10, 1)))
-    rec = lil_crossings(traj, None, lambda ks: np.zeros(np.shape(ks)), 3, 10)
-    assert rec.count == 8
-    assert rec.first_k == 3
-    assert rec.last_k == 10
-
-
-def test_crossings_strict_inequality_at_boundary():
-    # |S_k| = 2 for all k; bound sqrt(k): crossing only at k = 3, and the
-    # exact tie at k = 4 (2 > 2) must NOT count
-    law = gaussian_iso(1)
-    x = np.zeros((10, 1))
-    x[0, 0] = 2.0
-    rec = lil_crossings(traj := from_increments(law, x), None, _unit_boundary, 3, 10)
-    assert rec.count == 1
-    assert rec.first_k == 3 and rec.last_k == 3
-    assert traj.n == 10
-
-
-def test_crossings_span_blocks():
-    law = gaussian_iso(1)
-    n = BLOCK + 5
-    traj = from_increments(law, np.ones((n, 1)))
-    rec = lil_crossings(traj, None, _unit_boundary, BLOCK - 2, n)
-    assert rec.count == 8
-    assert rec.first_k == BLOCK - 2
-    assert rec.last_k == n
-
-
-def test_crossings_window_across_blocks_matches_two_pass():
-    """Crossings of |Gamma_k^{-1} S_k| over [BLOCK - 50, BLOCK + 50] on a
-    d = 2 walk equal the two-pass count over np.cumsum bit for bit."""
-    law = gaussian_iso(2)
-    n = BLOCK + 100
-    lo, hi = BLOCK - 50, BLOCK + 50
-    x = np.round(np.random.default_rng(1608).standard_normal((n, 2)) * 4096.0) / 4096.0
-    gs = GammaSequence(law, sqrt_n(), n)
-
-    ks = np.arange(lo, hi + 1)
-    norms = np.linalg.norm(gs.inv_apply(ks, np.cumsum(x, axis=0)[ks - 1]), axis=1)
-    level = float(np.median(norms / np.sqrt(ks)))
-    crossed = np.flatnonzero(norms > np.sqrt(ks) * level)
-    assert ks[crossed[0]] <= BLOCK < ks[crossed[-1]]
-
-    rec = lil_crossings(
-        from_increments(law, x), gs, lambda k: np.full(np.shape(k), level), lo, hi
-    )
-    assert rec.count == crossed.size
-    assert rec.first_k == int(ks[crossed[0]])
-    assert rec.last_k == int(ks[crossed[-1]])
-
-
-def test_crossings_gamma_identity_matches_none():
-    law = rademacher_product(1)
-    gs = GammaSequence(law, sqrt_n(), 2000)
-    traj = trajectory(law, 2000, 31)
-    phi = lambda ks: np.sqrt(2.0 * np.asarray(iterlog(ks, 2), dtype=float))
-    a = lil_crossings(traj, gs, phi, 3, 2000)
-    b = lil_crossings(traj, None, phi, 3, 2000)
-    assert a.count == b.count
-    assert a.last_k == b.last_k
-
-
-def test_crossings_validation():
-    law = gaussian_iso(1)
-    traj = from_increments(law, np.ones((20, 1)))
-    with pytest.raises(ValueError, match="n_lo"):
-        lil_crossings(traj, None, _unit_boundary, 2, 10)
-    with pytest.raises(ValueError, match="empty"):
-        lil_crossings(traj, None, _unit_boundary, 5, 4)
-    with pytest.raises(ValueError, match="horizon"):
-        lil_crossings(traj, None, _unit_boundary, 3, 21)
-
-
-@given(seed=st.integers(0, 2**31), hi=st.integers(10, 400))
-@settings(max_examples=30, deadline=None)
-def test_crossings_count_bounded_by_range(seed, hi):
-    law = rademacher_product(1)
-    traj = trajectory(law, hi, seed)
-    rec = lil_crossings(traj, None, _unit_boundary, 3, hi)
-    assert 0 <= rec.count <= hi - 2
-    if rec.count:
-        assert 3 <= rec.first_k <= rec.last_k <= hi
+    rng = np.random.default_rng(35)
+    if layout == "int":
+        x = rng.integers(-3, 4, (n, 3))
+        x[BLOCK + 100, 0] = 10**5
+        ref = x.astype(float)
     else:
-        assert rec.first_k is None and rec.last_k is None
-    huge = lil_crossings(traj, None, lambda ks: np.full(np.shape(ks), 1e9), 3, hi)
-    assert huge.count == 0
+        ref = sample(law, rng, n)
+        x = ref.tolist() if layout == "list" else np.asfortranarray(ref)
+    want = de_statistic(from_increments(law, ref), None, "classical")
+    assert want.argmax_k > BLOCK
+    traj = Trajectory(law=law, n=n, increments=x, seed_label="increments")
+    assert traj.increments.dtype == np.float64
+    assert traj.increments.flags.c_contiguous
+    for t in (traj, from_increments(law, x)):
+        got = de_statistic(t, None, "classical")
+        assert got.value == want.value
+        assert got.argmax_k == want.argmax_k
+        assert got.max_ratio == want.max_ratio
 
 
 def test_record_finiteness_guard():
@@ -560,40 +374,3 @@ def test_record_finiteness_guard():
             mode="classical", value=float("nan"), n=1, argmax_k=1, d=1,
             law="x", scheme="none", seed="0", max_ratio=0.0,
         )
-    rec = CrossingRecord(
-        count=0, last_k=None, first_k=None, n_lo=3, n_hi=5, law="x", seed="0"
-    )
-    assert rec.count == 0
-
-
-def test_crossings_critical_boundary_finite_window():
-    """Frozen Monte Carlo oracle for boundary crossings on [1e3, 1e6].
-
-    A boundary on the divergence side of the series test is crossed
-    infinitely often in the limit, but this window covers only 0.70
-    doubly-iterated-log units, so most walks never touch it here: a
-    100-stream oracle run found 10 crossing walks for the critical
-    exponent a=3 and 3 for the convergent a=5.  Three frozen child
-    streams of master seed 880000 pin exact counts: stream 0 crosses
-    the a=3 boundary 127 times yet never the a=5 one, stream 5 never
-    crosses, and stream 24 crosses both with ordered counts.
-    """
-    from lilmax.limits import PhiFamily
-
-    law = gaussian_iso(1)
-    phi3 = PhiFamily(a=3, b=0, d=1)
-    phi5 = PhiFamily(a=5, b=0, d=1)
-
-    def count(r, phi):
-        ss = np.random.SeedSequence(880000, spawn_key=(r,))
-        rec = lil_crossings(trajectory(law, 1_000_000, ss), None, phi, 1000, 1_000_000)
-        if rec.count:
-            assert 1000 <= rec.first_k <= rec.last_k <= 1_000_000
-        return rec.count
-
-    assert count(0, phi3) == 127
-    assert count(0, phi5) == 0
-    assert count(5, phi3) == 0
-    c3, c5 = count(24, phi3), count(24, phi5)
-    assert c3 == 85850 and c5 == 48337
-    assert c3 > c5 > 0
