@@ -28,6 +28,7 @@ from .harness import (
     ExperimentConfig,
     append_jsonl,
     apply_overrides,
+    build_normalizer,
     experiment_from_parser,
     load_config_parser,
     read_records_csv,
@@ -49,7 +50,6 @@ from .limits import (
 )
 from .models import law_from_mapping, law_id, radial_profile
 from .truncation import (
-    GammaSequence,
     scheme_id,
     sqrt_n,
     sqrt_n_invLL5,
@@ -470,10 +470,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(
             f"replication {index} out of range: {csv_path} has {len(rows)} rows"
         )
-    gs = None
-    if cfg.scheme is not None:
-        gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
-    fresh = record_row(index, replicate(cfg, gs, index))
+    fresh = record_row(index, replicate(cfg, build_normalizer(cfg), index))
     stored = ",".join(
         rows[index][col] for col in
         ("replication_index", "mode", "value", "argmax_k", "n", "d", "seed")

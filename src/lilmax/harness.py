@@ -226,6 +226,15 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
+def build_normalizer(cfg: ExperimentConfig) -> Optional[GammaSequence]:
+    """The normalizer sequence an experiment's replications share, or None
+    when it has no truncation scheme; ``run_experiment`` and ``replay`` both
+    build it here."""
+    if cfg.scheme is None:
+        return None
+    return GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
+
+
 def replicate(
     cfg: ExperimentConfig, gs: Optional[GammaSequence], index: int
 ) -> StatRecord:
@@ -239,9 +248,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[StatRecord]:
     """Execute all replications; the result never depends on ``threads``."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    gs = None
-    if cfg.scheme is not None:
-        gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
+    gs = build_normalizer(cfg)
     indices = range(cfg.replications)
     if threads == 1:
         return [replicate(cfg, gs, r) for r in indices]

@@ -503,10 +503,8 @@ def tail_profile(law: IncrementLaw, t_grid) -> list[TailProfile]:
 
 
 def _sample_directions(law: IncrementLaw, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Unit directions for d >= 2 (a d = 1 ladder draws its sign in ``sample``)."""
     d = law.d
-    if d == 1:
-        signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        return signs[:, None]
     if law.direction_mode == "sphere":
         z = rng.standard_normal((m, d))
         norms = np.linalg.norm(z, axis=1, keepdims=True)
@@ -536,13 +534,16 @@ def sample(law: IncrementLaw, rng: np.random.Generator, size: int) -> np.ndarray
     if fam == "uniform_cube":
         return rng.uniform(-_CUBE_HALF, _CUBE_HALF, size=(size, d))
     lad = _ladder_data(law)
-    # category: core first, then rungs in order
-    cuts = np.concatenate([[lad.p_core], lad.p_core + np.cumsum(lad.weights)])
+    # category: core below p_core, then rungs in order
     v = rng.random(size)
-    cat = np.searchsorted(cuts, v, side="right")  # 0 = core, j >= 1 = rung k0+j-1
-    cat = np.minimum(cat, len(lad.levels))        # guard the last-ulp gap of cuts
-    core_radii = lad.core_halfwidth * rng.random(size)
-    radii = np.where(cat == 0, core_radii, np.concatenate([[0.0], lad.levels])[cat])
+    radii = lad.core_halfwidth * rng.random(size)
+    rung = np.flatnonzero(v >= lad.p_core)
+    if rung.size:
+        cuts = lad.p_core + np.cumsum(lad.weights)
+        j = np.searchsorted(cuts, v[rung], side="right")  # rung k0 + j
+        radii[rung] = lad.levels[np.minimum(j, len(lad.levels) - 1)]  # last-ulp gap of cuts
+    if d == 1:
+        return np.where(rng.random(size) < 0.5, -radii, radii)[:, None]
     return radii[:, None] * _sample_directions(law, rng, size)
 
 

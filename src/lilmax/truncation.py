@@ -241,8 +241,9 @@ class GammaSequence:
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
     held piecewise constant) beyond.  Built once, then shared across worker
-    threads without locking; so are the per-index ``inv_scales`` and Feller's
-    B_k in ``feller_bn``, both built lazily on first use.
+    threads without locking; so are the per-index ``inv_scales``, Feller's
+    B_k in ``feller_bn`` and its root ``sqrt_feller_bn``, all built lazily
+    on first use.
     """
 
     def __init__(
@@ -322,7 +323,15 @@ class GammaSequence:
     # -- lookups ---------------------------------------------------------------
 
     def inv_scale(self, ns) -> np.ndarray:
-        """Vectorized 1/lambda(Gamma_n) (hot path)."""
+        """Vectorized 1/lambda(Gamma_n) (hot path).
+
+        A unit-step ``range`` of indices reads a slice view of ``inv_scales``
+        instead of gathering it.
+        """
+        if isinstance(ns, range) and ns.step == 1:
+            if ns.start < 1 or ns.stop > self.n_max + 1:
+                raise ValueError(f"indices outside 1..{self.n_max}")
+            return self.inv_scales[ns.start - 1 : ns.stop - 1]
         ns = np.asarray(ns)
         if np.any(ns < 1) or np.any(ns > self.n_max):
             raise ValueError(f"indices outside 1..{self.n_max}")
@@ -363,6 +372,16 @@ class GammaSequence:
         bn = feller_bn_prefix(self.law, self.scheme, self.n_max)
         bn.setflags(write=False)
         return bn
+
+    @cached_property
+    def sqrt_feller_bn(self) -> np.ndarray:
+        """Read-only sqrt(B_k) for k = 1..n_max, the feller denominators.
+
+        The elementwise square root has the bits of the root of any slice.
+        """
+        den = np.sqrt(self.feller_bn)
+        den.setflags(write=False)
+        return den
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Streaming trajectory statistics for normalized random-walk maxima.
 
-The statistic is a small reducer over one scan, ``_scan``, which consumes
-a trajectory once, in fixed-size blocks: partial sums within a block come
+The statistic is one reducer, ``_running_max``, over one scan, ``_scan``,
+which consumes a trajectory once, in fixed-size blocks and yields each
+block's offset with its partial sums.  Partial sums within a block come
 from a vectorized cumulative sum, and the running total carried across
 blocks uses Neumaier-compensated summation so the drift at horizons up to
 10^7 stays orders of magnitude below the statistic resolution.  For any
@@ -33,12 +34,77 @@ which floors at the scheme's n0 (1 for ``sqrt_n``): a higher floor would
 change the statistic.
 
 Ties in the argmax resolve to the smallest index for replay determinism.
+
+Denominators
+------------
+The reducer divides by a read-only table built once per horizon and read
+as slice views: sqrt(k) from ``_sqrt_k(n)`` (cached by n, so a call without
+a normalizer sequence needs nothing else) or sqrt(B_k) from
+``GammaSequence.sqrt_feller_bn``.  Self-normalized mode scales rows by
+``GammaSequence.inv_apply`` with the chunk's indices as a ``range``, which
+reads a slice of ``inv_scales``.  Elementwise square roots and products
+have the same bits however the arrays are sliced.
+
+Chunk pruning
+-------------
+Write fl for correctly rounded IEEE arithmetic (monotone), u = 2^-53,
+den_k for the denominator and inv_k for 1/lambda(Gamma_k) (1 outside
+self-normalized mode).  Row k's ratio is fl(N'_k / den_k), where N'_k is
+``_row_norm`` of fl(S_k * inv_k).  Each block is cut into chunks of
+``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
+T = max of the raw norms N_k = ``_row_norm``(S_k) over the chunk (computed
+for every row anyway), P = fl(T * inv_a) and
+
+    bound = fl(fl(P * SLACK) / den_a).
+
+The chunk is skipped when SAFE_LO <= T <= SAFE_HI and bound <= best so far;
+every other chunk is evaluated with the same elementwise operations as a
+reducer that evaluates every row, and the update stays a strict ``>``.  A
+skip is exact if every ratio in the chunk is <= bound, since then none can
+beat the best.  den_k is nondecreasing in k (sqrt(k), and B_k is a sum of
+nonnegative terms).  inv_k is nonincreasing (Gamma_k is Loewner monotone)
+and lies in [1, 1 / LAMBDA_FLOOR] = [1, 10] up to rounding, because
+Gamma_k's scale is the root of a truncated unit variance floored at
+LAMBDA_FLOOR.  By monotonicity of fl it is enough that
+N'_k <= fl(P * SLACK), because then
+
+    fl(N'_k / den_k) <= fl(fl(P * SLACK) / den_a) = bound.
+
+* Classical, feller, and self-normalized d = 1: N'_k = fl(N_k * inv_k)
+  <= fl(T * inv_a) = P <= fl(P * SLACK), with no rounding argument at all
+  (for d = 1 ``_row_norm`` is |x|, and |fl(x * i)| = fl(|x| * i)).
+* Self-normalized, d = 2..8.  With no underflow or overflow, a computed sum
+  of d squares puts each term through at most d roundings (one square and
+  at most d - 1 additions, in any summation order), so ``_row_norm`` of x
+  lies within the factors (1 -+ u)^(d/2 + 1) of |x|.  Underflow, of a
+  product, a square or a partial sum, adds at most d * 2^-1075 < 2^-1071
+  to a computed sum of squares.  T >= 2^-480 keeps that below 2^-71 of
+  any squared norm above 2^-1000 and of (inv_a * T)^2; rows with
+  |S_k| < 2^-500 <= 2^-20 T have N'_k far below P.  T <= 2^480 and
+  inv_a <= 10 keep every square below 2^973, so nothing overflows.  Hence
+  for every row, |S_k| <= T (1 - u)^-(d/2 + 1) (1 + 2^-71),
+  |fl(S_k * inv_k)| <= inv_a |S_k| (1 + u), and
+
+      N'_k <= inv_a T (1 + u)^(d/2 + 2) (1 - u)^-(d/2 + 1) (1 + 2^-70),
+
+  while fl(P * SLACK) >= inv_a T SLACK (1 - u)^2.  So SLACK >= 1 + (d + 5) u
+  + 2^-70 + O(u^2), which is 1 + 1.5e-15 at d = 8, suffices; SLACK =
+  1 + 1e-13 is about 900 u.
+
+A NaN maximum fails the range check, so the chunk is evaluated.  Because
+argmaxes are now taken per chunk rather than per block, a walk with NaN
+partial sums (non-finite increments) skips only the NaN's chunk where the
+per-block reducer skipped its whole block; every finite walk gives the same
+(max_ratio, argmax_k) bit for bit.  Tests check this against a reducer that
+evaluates every row, including walks built to make the slack, the lower and
+the upper range check each necessary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -50,6 +116,12 @@ from .psdmat import MAX_DIM
 from .truncation import GammaSequence, c_levels, scheme_id  # noqa: F401
 
 BLOCK = 32768
+CHUNK = 4096  # rows per pruning bound
+
+# Pruning: the relative slack and the range the bound's inputs must lie in.
+SLACK = 1.0 + 1e-13
+SAFE_LO = 2.0**-480
+SAFE_HI = 2.0**480
 
 MODES = ("classical", "self_normalized", "feller")
 
@@ -107,24 +179,27 @@ def _seed_label(seed) -> str:
 
 
 def _scan(traj: Trajectory):
-    """Yield (ks, S_rows) for k = 1..n, block by block.
+    """Yield (off, S_rows) block by block, where row i of S_rows is S_{off+i+1}.
 
     S_rows is the block's one cumulative sum with the Neumaier-compensated
-    total carried from earlier blocks added in place.
+    total carried from earlier blocks added in place.  Every block reuses
+    one buffer, so S_rows is valid only until the next block is drawn; this
+    saves faulting in a fresh half-megabyte array per block.
     """
     rng = None if traj.increments is not None else np.random.default_rng(traj.seed)
     total = np.zeros(traj.law.d)
     comp = np.zeros(traj.law.d)
+    buf = np.empty((min(BLOCK, traj.n), traj.law.d))
     for off in range(0, traj.n, BLOCK):
         m = min(BLOCK, traj.n - off)
         block = sample(traj.law, rng, m) if rng is not None else traj.increments[off : off + m]
-        rows = np.cumsum(block, axis=0)
+        rows = np.cumsum(block, axis=0, out=buf[:m])
         block_sum = _block_sum(block, rows)
         del block  # only the cumsum buffer stays alive while the reducer runs
         # column by column: a broadcast over rows of length d is several times slower
         for j, c in enumerate(total + comp):
             rows[:, j] += c
-        yield np.arange(off + 1, off + m + 1), rows
+        yield off, rows
         t = total + block_sum
         big = np.abs(total) >= np.abs(block_sum)
         comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
@@ -161,16 +236,43 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def _running_max(traj: Trajectory, ratio):
-    """(max, argmax k) of ratio(ks, S_rows) over k = 1..n; ties go to the smallest k."""
+@lru_cache(maxsize=4)
+def _sqrt_k(n: int) -> np.ndarray:
+    """Read-only sqrt(k) for k = 1..n: the classical and self-normalized
+    denominators, built once per horizon (the last four are kept)."""
+    den = np.sqrt(np.arange(1, n + 1))
+    den.setflags(write=False)
+    return den
+
+
+def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] = None):
+    """(max, argmax k) of |Gamma_k^{-1} S_k| / den[k - 1] over k = 1..n, with
+    Gamma_k = I when ``gs`` is None; ties go to the smallest k.
+
+    A chunk whose bound cannot beat the best so far is skipped (see "Chunk
+    pruning" above); every row of every other chunk is evaluated.
+    """
+    inv = None if gs is None else gs.inv_scales
     best = -np.inf
     best_k = 1
-    for ks, s_rows in _scan(traj):
-        ratios = ratio(ks, s_rows)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_k = int(ks[i])
+    for off, rows in _scan(traj):
+        norms = _row_norm(rows)
+        starts = range(0, len(rows), CHUNK)
+        for c, top in zip(starts, np.maximum.reduceat(norms, starts).tolist()):
+            a = off + c  # row c holds S_{a+1}
+            scaled = top if inv is None else top * float(inv[a])
+            if SAFE_LO <= top <= SAFE_HI and scaled * SLACK / den[a] <= best:
+                continue
+            e = min(c + CHUNK, len(rows))
+            if gs is None:
+                num = norms[c:e]
+            else:
+                num = _row_norm(gs.inv_apply(range(a + 1, off + e + 1), rows[c:e]))
+            ratios = num / den[a : off + e]
+            i = int(np.argmax(ratios))
+            if ratios[i] > best:
+                best = float(ratios[i])
+                best_k = a + i + 1
     return best, best_k
 
 
@@ -237,14 +339,12 @@ def de_statistic(
             if gs.feller_bn[0] <= 0.0:
                 raise ValueError("running variance is 0: truncation level below all mass")
 
-    def ratio(ks, s_rows):
-        if mode == "classical":
-            return _row_norm(s_rows) / np.sqrt(ks)
-        if mode == "self_normalized":
-            return _row_norm(gs.inv_apply(ks, s_rows)) / np.sqrt(ks)
-        return np.abs(s_rows[:, 0]) / np.sqrt(gs.feller_bn[ks[0] - 1 : ks[-1]])
-
-    best, best_k = _running_max(traj, ratio)
+    if mode == "feller":
+        best, best_k = _running_max(traj, gs.sqrt_feller_bn)
+    else:
+        best, best_k = _running_max(
+            traj, _sqrt_k(traj.n), gs if mode == "self_normalized" else None
+        )
     norm = normalizers(traj.n, d)
     return StatRecord(
         mode=mode,

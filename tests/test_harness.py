@@ -17,6 +17,7 @@ from lilmax.harness import (
     ExperimentConfig,
     append_jsonl,
     apply_overrides,
+    build_normalizer,
     experiment_from_parser,
     experiment_summary,
     ks_one_sample,
@@ -32,7 +33,7 @@ from lilmax.harness import (
 )
 from lilmax.limits import GumbelLaw
 from lilmax.models import gaussian_iso, rademacher_product
-from lilmax.truncation import sqrt_n
+from lilmax.truncation import GammaSequence, sqrt_n
 
 BASIC_INI = """\
 [experiment]
@@ -291,6 +292,14 @@ def test_run_experiment_thread_count_irrelevant():
     assert [r.value for r in serial] == [r.value for r in parallel]
     assert [r.argmax_k for r in serial] == [r.argmax_k for r in parallel]
     assert [r.seed for r in serial] == [r.seed for r in parallel]
+
+
+def test_build_normalizer():
+    assert build_normalizer(_cfg()) is None
+    cfg = _cfg(law=rademacher_product(2), scheme=sqrt_n(), mode="self_normalized")
+    gs = build_normalizer(cfg)
+    assert isinstance(gs, GammaSequence)
+    assert (gs.law, gs.scheme, gs.n_max) == (cfg.law, cfg.scheme, cfg.n)
 
 
 def test_run_experiment_distinct_streams():

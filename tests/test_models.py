@@ -7,6 +7,7 @@ seeded Monte Carlo.  Ladder rung identities are exact by telescoping and
 asserted to the last bit.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -262,6 +263,48 @@ def test_sampler_deterministic_and_shaped(law, seed, size):
     assert x1.dtype == np.float64
     np.testing.assert_array_equal(x1, x2)
     assert np.all(np.isfinite(x1))
+
+
+# (law, draws with |X| above the core radius, sha256 of the float64 bytes) for
+# seeds 0, 1, 2, each drawing 40000 then 1001 rows; k0 = 1 makes rungs occur.
+LADDER_DIGESTS = [
+    (M.atom_ladder(), 0,
+     "edf78475eb0387d2039cfcf3fdd63d1d7cc4a7ab1d7531095ff4ec521e986f4a"),
+    (M.atom_ladder(k0=1), 132,
+     "3db0e90eae3f3d23e17381de91d4b738c068b8a66e67ac5f6b22e7227e286e3f"),
+    (M.atom_ladder_fat(), 0,
+     "5cff026f093335c221712158be3617ee41f3ac055a61136d64b2f7fafd133791"),
+    (M.atom_ladder(d=2), 0,
+     "18cbe5cdf711a67c96f8e936326bcf173311e2fbaaea8ae2423a226cf9c9e680"),
+    (M.atom_ladder(d=3, direction_mode="axes"), 0,
+     "1300cef05bb71fb2edc550d5fe060a3835a6018567032585274988d7070e36b7"),
+    (M.atom_ladder(k0=1, d=2), 131,
+     "61f6044c37d22fb3b80c2fdebda6b2d861f6c76d6cb9b187a1f803d92b139d24"),
+    (M.atom_ladder_fat(k0=1, d=2), 154,
+     "b40047677a901a409bddad81102110d4aaea2eb6cb19cd2dccf7179709d5f3e5"),
+]
+
+
+@pytest.mark.parametrize(
+    "law, rungs, digest",
+    LADDER_DIGESTS,
+    ids=lambda v: M.law_id(v) if isinstance(v, M.IncrementLaw) else "",
+)
+def test_ladder_sampler_frozen_bytes(law, rungs, digest):
+    """Every draw, its order and its size are pinned: a changed ladder stream
+    would move every CSV of a ladder experiment."""
+    lad = M._ladder_data(law)
+    h = hashlib.sha256()
+    seen = 0
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        for size in (40000, 1001):
+            x = M.sample(law, rng, size)
+            assert x.shape == (size, law.d) and x.dtype == np.float64
+            h.update(x.tobytes())
+            seen += int((np.linalg.norm(x, axis=1) > lad.core_halfwidth).sum())
+    assert seen == rungs
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

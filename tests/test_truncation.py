@@ -341,10 +341,12 @@ def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
     assert not gs.inv_scales.flags.writeable
     assert np.array_equal(gs.inv_scales, want)
     assert np.array_equal(gs.inv_scale(ns[::-37]), want[::-37])
-    with pytest.raises(ValueError):
-        gs.inv_scale([0])
-    with pytest.raises(ValueError):
-        gs.inv_scale([n_max + 1])
+    # a unit-step range reads a slice of the same table
+    assert np.array_equal(gs.inv_scale(range(3, n_max + 1)), want[2:])
+    assert np.shares_memory(gs.inv_scale(range(3, 4099)), gs.inv_scales)
+    for bad in ([0], [n_max + 1], range(0, 5), range(n_max - 1, n_max + 2)):
+        with pytest.raises(ValueError):
+            gs.inv_scale(bad)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilmax.iterlog import normalizers
-from lilmax.models import gaussian_iso, rademacher_product, sample, uniform_cube
+from lilmax.models import gaussian_iso, law_id, rademacher_product, sample, uniform_cube
 from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
 from lilmax import walkstats
 from lilmax.walkstats import (
@@ -43,6 +43,10 @@ class _ScaledGamma:
 
     def inv_apply(self, ns, rows):
         return np.asarray(rows, dtype=float) / self._lam
+
+    @property
+    def inv_scales(self):
+        return np.full(self.n_max, 1.0 / self._lam)
 
     @property
     def feller_bn(self):
@@ -189,6 +193,175 @@ def test_multiblock_frozen_oracle(mode, law, seed, value, argmax_k, max_ratio, n
     assert rec.value == value
     assert rec.argmax_k == argmax_k
     assert rec.max_ratio == max_ratio
+
+
+# ---------------------------------------------------------------------------
+# chunk pruning: bit for bit the reducer that evaluates every row
+# ---------------------------------------------------------------------------
+
+
+def _every_row(traj, gs, mode):
+    """(max_ratio, argmax_k) with every row's ratio evaluated, block by block,
+    from per-block index arrays and gathered normalizers."""
+    best, best_k = -np.inf, 1
+    for off, rows in walkstats._scan(traj):
+        ks = np.arange(off + 1, off + len(rows) + 1)
+        if mode == "classical":
+            ratios = walkstats._row_norm(rows) / np.sqrt(ks)
+        elif mode == "self_normalized":
+            ratios = walkstats._row_norm(gs.inv_apply(ks, rows)) / np.sqrt(ks)
+        else:
+            ratios = np.abs(rows[:, 0]) / np.sqrt(gs.feller_bn.take(ks - 1))
+        i = int(np.argmax(ratios))
+        if ratios[i] > best:
+            best, best_k = float(ratios[i]), int(ks[i])
+    return best, best_k
+
+
+def _assert_matches_every_row(traj, mode, scheme=sqrt_n()):
+    gs = None if mode == "classical" else GammaSequence(traj.law, scheme, traj.n)
+    rec = de_statistic(traj, gs, mode)
+    best, best_k = _every_row(traj, gs, mode)
+    assert rec.argmax_k == best_k
+    assert np.float64(rec.max_ratio).view(np.int64) == np.float64(best).view(np.int64)
+    return rec
+
+
+PRUNE_CASES = (
+    [("classical", gaussian_iso(d)) for d in range(1, 9)]
+    + [("self_normalized", gaussian_iso(d)) for d in range(1, 9)]
+    + [("self_normalized", uniform_cube(d)) for d in range(1, 9)]
+    + [("feller", gaussian_iso(1)), ("feller", uniform_cube(1))]
+)
+
+
+@pytest.mark.parametrize(
+    "mode, law", PRUNE_CASES, ids=lambda v: v if isinstance(v, str) else law_id(v)
+)
+def test_pruned_reducer_matches_every_row(mode, law):
+    for seed in (1, 2, 3):
+        _assert_matches_every_row(trajectory(law, 2 * BLOCK + 1234, seed), mode)
+
+
+@pytest.mark.parametrize(
+    "mode, d", [("classical", 1), ("classical", 3), ("self_normalized", 2), ("feller", 1)]
+)
+def test_pruned_reducer_late_peak(mode, d):
+    """A drift over one chunk of block 3 puts the max there, past chunks the
+    bound skips; increments on a 2^-12 grid keep every partial sum exact."""
+    law = gaussian_iso(d)
+    n = 4 * BLOCK
+    x = np.round(np.random.default_rng(40 + d).standard_normal((n, d)) * 4096.0) / 4096.0
+    x[3 * BLOCK + 5 * walkstats.CHUNK : 3 * BLOCK + 6 * walkstats.CHUNK, 0] += 1.0
+    rec = _assert_matches_every_row(from_increments(law, x), mode)
+    assert rec.argmax_k > 3 * BLOCK + 5 * walkstats.CHUNK
+
+
+@pytest.mark.parametrize(
+    "mode, d", [("classical", 1), ("classical", 2), ("self_normalized", 2), ("feller", 1)]
+)
+@pytest.mark.parametrize("first", [64**2, 320**2])
+def test_pruned_reducer_tie_across_chunk_boundary(mode, d, first):
+    """S_K = sqrt(K) at K = 64^2 (end of the first chunk) or 320^2 (end of the
+    first chunk of block 3), then S_{K+1} = fl(sqrt(K + 1)): both ratios are
+    exactly 1, and the tie goes to K.  Rademacher with sqrt_n truncation has
+    Gamma_k = I and B_k = k, so all three modes see the same ratios."""
+    assert first % walkstats.CHUNK == 0
+    law = rademacher_product(d)
+    n = first + 3 * walkstats.CHUNK
+    x = np.zeros((n, d))
+    root = math.isqrt(first)
+    x[first - 1, 0] = root
+    x[first, 0] = math.sqrt(first + 1) - root
+    rec = _assert_matches_every_row(from_increments(law, x), mode)
+    assert rec.max_ratio == 1.0
+    assert rec.argmax_k == first
+
+
+@pytest.mark.parametrize(
+    "mode, d",
+    [
+        ("classical", 2),
+        ("classical", 8),
+        ("self_normalized", 2),
+        ("self_normalized", 3),
+        ("self_normalized", 8),
+        ("feller", 1),
+    ],
+)
+def test_pruned_reducer_subnormal_squares(mode, d):
+    """Increments near 1e-160 make every squared norm subnormal, where the
+    relative rounding bounds behind the slack no longer hold."""
+    law = gaussian_iso(d)
+    for seed in (4, 5):
+        x = 1e-160 * np.random.default_rng(seed).standard_normal((BLOCK + 5000, d))
+        _assert_matches_every_row(from_increments(law, x), mode)
+
+
+@pytest.mark.parametrize(
+    "k_best, s, x, y",
+    [
+        (1, "0x1.ffp-535", "0x1.eaep-529", "0x1.204p-530"),
+        (walkstats.CHUNK, "0x1.d299939a189b0p+0", "0x1.d0327a782cde5p+0", "0x1.7ecc6b5ec7802p-3"),
+    ],
+    ids=["subnormal_squares", "needs_slack"],
+)
+def test_pruned_reducer_crafted_near_miss(k_best, s, x, y):
+    """Self-normalized walks whose second chunk beats the first by one ulp,
+    while the bound from the raw norm, without its safeguards, does not.
+    Gamma_k^{-1} is about 1.796 for every k; S_{k_best} = (s, 0) sets the
+    best and S_4097 = (x, y) beats it.  In the first walk the squares are
+    subnormal, so only the range check saves the chunk; in the second the
+    raw and the scaled norm round apart, so only the slack does."""
+    law = gaussian_iso(2)
+    n = 2 * walkstats.CHUNK
+    s, x, y = (float.fromhex(h) for h in (s, x, y))
+    inc = np.zeros((n, 2))
+    inc[k_best - 1, 0] = s
+    inc[walkstats.CHUNK] = (x - s, y)
+    traj = from_increments(law, inc)
+    gs = GammaSequence(law, table_scheme((1.5,) * n), n)
+    rec = de_statistic(traj, gs, "self_normalized")
+    assert (rec.max_ratio, rec.argmax_k) == _every_row(traj, gs, "self_normalized")
+    assert rec.argmax_k == walkstats.CHUNK + 1
+
+
+def test_pruned_reducer_never_skips_an_overflow():
+    """|S_4097| = 1e154 has a finite square, but Gamma^{-1} S_4097 does not,
+    so that row's ratio is inf although the bound from the raw norm is below
+    the best of the first chunk.  The range check evaluates the chunk, and
+    the infinite statistic is rejected as it is without pruning.  The
+    squares overflow on purpose."""
+    law = gaussian_iso(2)
+    n = 2 * walkstats.CHUNK
+    inc = np.zeros((n, 2))
+    inc[0, 0] = 1e154 / 32.0
+    inc[walkstats.CHUNK, 0] = 1e154 - 1e154 / 32.0
+    traj = from_increments(law, inc)
+    gs = GammaSequence(law, table_scheme((1.5,) * n), n)
+    with np.errstate(over="ignore"):
+        assert _every_row(traj, gs, "self_normalized") == (np.inf, walkstats.CHUNK + 1)
+        with pytest.raises(ValueError, match="finite"):
+            de_statistic(traj, gs, "self_normalized")
+
+
+def test_pruned_chunk_count_pinned(monkeypatch):
+    """Pruning cannot silently switch off: on this walk the bound leaves
+    exactly 9 of 25 chunks for ``inv_apply``, which runs once per evaluated
+    chunk and receives its indices as a range."""
+    starts = []
+    inv_apply = GammaSequence.inv_apply
+
+    def counted(self, ns, rows):
+        starts.append(ns.start)
+        return inv_apply(self, ns, rows)
+
+    monkeypatch.setattr(GammaSequence, "inv_apply", counted)
+    law = uniform_cube(2)
+    n = 100_000
+    rec = de_statistic(trajectory(law, n, 11), GammaSequence(law, sqrt_n(), n), "self_normalized")
+    assert rec.argmax_k == 77284
+    assert starts == [1 + c * walkstats.CHUNK for c in (0, 8, 9, 12, 13, 14, 15, 17, 18)]
 
 
 @pytest.mark.parametrize("d", range(1, 9))
