@@ -2,8 +2,8 @@
 
 The package is organized in layers:
 
-- ``psdmat``: exact-size symmetric PSD matrices, Jacobi eigensolver, square
-  roots, and the Loewner order.
+- ``psdmat``: small symmetric PSD matrices on numpy.linalg: square roots,
+  operator norms, and the Loewner order.
 - ``iterlog``: floored iterated logarithms and the scaling/centering
   normalizer pair of the running-max statistic.
 - ``models``: the catalogue of isotropic increment laws (gaussian, signs,

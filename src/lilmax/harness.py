@@ -51,7 +51,6 @@ class ExperimentConfig:
     n: int
     replications: int
     master_seed: int
-    reference: Optional[str] = None
 
     def __post_init__(self):
         if not self.name or not set(self.name) <= _NAME_OK:
@@ -174,7 +173,6 @@ def experiment_from_parser(
             n=_get_int(sec, "n"),
             replications=_get_int(sec, "replications"),
             master_seed=_get_int(sec, "master_seed"),
-            reference=sec.get("reference"),
         )
     except ConfigError:
         raise

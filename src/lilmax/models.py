@@ -8,7 +8,7 @@ the identity:
 
 by sign-flip and exchange symmetry (product families) or by radius/direction
 independence (the atom ladders).  The scalar radial profile a(t) is computed
-analytically per family below and wrapped in SymPSD at module boundaries.
+analytically per family below, and callers work with that scalar.
 
 Families
 --------
@@ -35,12 +35,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc, gammainc, gammaincc
 
 from .iterlog import iterlog
-from .psdmat import MAX_DIM, SymPSD
+from .psdmat import MAX_DIM
 
 FAMILIES = (
     "gaussian_iso",
@@ -290,7 +289,7 @@ def _cube_sq_cdf_spline(m: int):
 
     def cdf(s):
         s = np.asarray(s, dtype=float)
-        out = np.where(s >= 3.0 * m, 1.0, np.where(s <= 0.0, 0.0, 0.0))
+        out = np.where(s >= 3.0 * m, 1.0, 0.0)
         inside = (s > 0.0) & (s < 3.0 * m)
         if np.any(inside):
             out = np.where(inside, spline(np.clip(s, 0.0, 3.0 * m)), out)
@@ -336,29 +335,6 @@ def _cube_trunc_2(t: np.ndarray) -> np.ndarray:
             _v2_sqrt_antideriv(_CUBE_HALF, ti) - _v2_sqrt_antideriv(ell, ti)
         ) / q
     return out
-
-
-def _cube_trunc_scalar(d: int, t: float) -> float:
-    """a(t) for the cube: closed for d <= 2, adaptive quadrature for d = 3,
-    spline-backed Gauss-Legendre beyond."""
-    if t <= 0.0:
-        return 0.0
-    if t * t >= 3.0 * d:
-        return 1.0
-    if d == 1:
-        return float(_cube_trunc_1(np.atleast_1d(t))[0])
-    if d == 2:
-        return float(_cube_trunc_2(np.atleast_1d(t))[0])
-    prev = _cube_sq_cdf(d - 1)
-    if d == 3:
-        val, _ = quad(
-            lambda v: v * v * float(prev(np.atleast_1d(t * t - v * v))[0]),
-            0.0, min(t, _CUBE_HALF), epsabs=1.0e-12, limit=200,
-        )
-        return val / _CUBE_HALF
-    ub = np.minimum(t, _CUBE_HALF)
-    val = _gl_integrate(lambda v: v * v * prev(t * t - v * v), np.zeros(1), np.asarray([ub]))
-    return float(val[0]) / _CUBE_HALF
 
 
 def _cube_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
@@ -429,16 +405,6 @@ def radial_profile(law: IncrementLaw, t) -> np.ndarray | float:
     else:
         out = _ladder_radius_trunc(law, arr) / law.d
     return float(out[0]) if scalar else out
-
-
-def truncated_second_moment(law: IncrementLaw, t: float) -> SymPSD:
-    """A(t)^2 = E[X X^T 1{|X| <= t}] as a SymPSD matrix (exact scalar * I)."""
-    fam = law.family
-    if fam == "uniform_cube":
-        a_t = _cube_trunc_scalar(law.d, float(t))
-    else:
-        a_t = float(radial_profile(law, float(t)))
-    return SymPSD.scaled_identity(law.d, a_t)
 
 
 def prob_tail(law: IncrementLaw, t) -> np.ndarray | float:

@@ -181,15 +181,6 @@ def scheme_from_mapping(m: dict) -> TruncationScheme:
     raise ValueError(f"unknown scheme family {fam!r}")
 
 
-def scheme_to_mapping(scheme: TruncationScheme) -> dict:
-    out = {"family": scheme.family, "n0": str(scheme.n0)}
-    if scheme.family == "sqrt_n_polylog":
-        out["q"] = repr(scheme.q)
-    if scheme.family == "table":
-        out["levels"] = ",".join(repr(v) for v in scheme.levels)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gamma sequence
 # ---------------------------------------------------------------------------
@@ -400,15 +391,6 @@ def feller_bn_prefix(law: IncrementLaw, scheme: TruncationScheme, n: int) -> np.
     js = np.arange(1, n + 1)
     sig2 = np.asarray(radial_profile(law, c_levels(scheme, js)))
     return np.cumsum(sig2)
-
-
-def feller_bn(law: IncrementLaw, scheme: TruncationScheme, n: int) -> float:
-    """B_n = sum_{j=1..n} sigma_j^2; B_0 = 0 (empty sum)."""
-    if n == 0:
-        if law.d != 1:
-            raise ValueError("the Feller running variance is defined for d = 1")
-        return 0.0
-    return float(feller_bn_prefix(law, scheme, n)[-1])
 
 
 # ---------------------------------------------------------------------------

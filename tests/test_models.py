@@ -2,9 +2,9 @@
 
 Analytic radial profiles are pinned against values computed independently
 with 40-digit mpmath (regularized incomplete gamma for the gaussian family,
-adaptive quadrature and plane geometry for the cube) and cross-checked by
-seeded Monte Carlo.  Ladder rung identities are exact by telescoping and
-asserted to the last bit.
+adaptive quadrature and plane geometry for the cube, inscribed-ball closed
+forms for the cube in d = 3..8) and cross-checked by seeded Monte Carlo.
+Ladder rung identities are exact by telescoping and asserted to the last bit.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from lilmax import models as M
 from lilmax.iterlog import iterlog
-from lilmax.psdmat import SymPSD
 
 RELTOL = 5.0e-15
 
@@ -103,6 +102,21 @@ def test_cube_profile_continuity_at_breakpoints():
             assert abs(hi - lo) < 1e-7
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_cube_profile_matches_inscribed_ball(d):
+    # for t <= sqrt(3) the ball of radius t lies inside the cube, where the
+    # density is the constant (2 sqrt 3)^-d: closed forms independent of the
+    # recursive spline and Gauss-Legendre path
+    law = M.uniform_cube(d)
+    t = np.linspace(1.0, math.sqrt(3.0), 41)
+    vol = (2.0 * math.sqrt(3.0)) ** d
+    a = 2.0 * math.pi ** (d / 2) * t ** (d + 2) / (d * (d + 2) * math.gamma(d / 2) * vol)
+    tail = 1.0 - math.pi ** (d / 2) * t**d / (math.gamma(d / 2 + 1) * vol)
+    rel = 1e-13 if d == 3 else 1e-6
+    np.testing.assert_allclose(M.radial_profile(law, t), a, rtol=rel, atol=0)
+    np.testing.assert_allclose(M.prob_tail(law, t), tail, rtol=0, atol=1e-7)
+
+
 def test_rademacher_step():
     law = M.rademacher_product(3)
     s = math.sqrt(3.0)
@@ -153,19 +167,6 @@ def test_ladder_total_second_moment_is_dimension():
         assert M.tail_second_moment(law, 0.0) == pytest.approx(law.d, rel=1e-12)
         got = law.d * M.radial_profile(law, big) + M._ladder_tail_from(law, 6.0)
         assert got == pytest.approx(law.d, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# matrix views
-# ---------------------------------------------------------------------------
-
-
-def test_truncated_second_moment_is_scaled_identity():
-    for law in ALL_LAWS:
-        mat = M.truncated_second_moment(law, 1.7)
-        assert isinstance(mat, SymPSD)
-        a_t = M.radial_profile(law, 1.7)
-        np.testing.assert_allclose(mat.entries, a_t * np.eye(law.d), rtol=0, atol=1e-15)
 
 
 def test_tail_matches_trace_identity_at_continuity_points():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from lilmax import models as M
 from lilmax import truncation as T
 from lilmax.iterlog import iterlog
-from lilmax.psdmat import MatrixError, NearSingularError, NotPSDError, SymPSD, loewner_leq
+from lilmax.psdmat import NearSingularError, SymPSD, loewner_leq
 
 # ---------------------------------------------------------------------------
 # levels
@@ -191,7 +191,7 @@ def test_tail_condition_rejects_unknown_kind():
 
 def test_feller_rademacher_closed_form():
     law = M.rademacher_product(1)
-    assert T.feller_bn(law, T.sqrt_n(), 50) == 50.0
+    assert T.feller_bn_prefix(law, T.sqrt_n(), 50)[-1] == 50.0
     np.testing.assert_array_equal(
         T.feller_bn_prefix(law, T.sqrt_n(), 5), np.arange(1.0, 6.0)
     )
@@ -199,7 +199,7 @@ def test_feller_rademacher_closed_form():
 
 def test_feller_gaussian_frozen_oracle():
     # sum of P(3/2, j/2), j = 1..4, from 40-digit mpmath
-    got = T.feller_bn(M.gaussian_iso(1), T.sqrt_n(), 4)
+    got = T.feller_bn_prefix(M.gaussian_iso(1), T.sqrt_n(), 4)[-1]
     assert got == pytest.approx(1.9732520324077197859, rel=1e-14)
 
 
@@ -215,11 +215,11 @@ def test_feller_bn_floors_at_scheme_n0():
 
 
 def test_feller_empty_sum_and_dimension_gate():
-    assert T.feller_bn(M.gaussian_iso(1), T.sqrt_n(), 0) == 0.0
+    assert T.feller_bn_prefix(M.gaussian_iso(1), T.sqrt_n(), 0).shape == (0,)
     with pytest.raises(ValueError):
-        T.feller_bn(M.gaussian_iso(2), T.sqrt_n(), 10)
+        T.feller_bn_prefix(M.gaussian_iso(2), T.sqrt_n(), 10)
     with pytest.raises(ValueError):
-        T.feller_bn(M.gaussian_iso(2), T.sqrt_n(), 0)
+        T.feller_bn_prefix(M.gaussian_iso(2), T.sqrt_n(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_ladder_jump_bookkeeping():
 
 def _gamma(gs, n: int) -> SymPSD:
     """Gamma_n rebuilt from the cached 1/lambda(Gamma_n)."""
-    return SymPSD.scaled_identity(gs.law.d, 1.0 / float(gs.inv_scale([n])[0]))
+    return SymPSD.from_array(np.eye(gs.law.d) / float(gs.inv_scale([n])[0]))
 
 
 def test_rademacher_gamma_is_exact_identity():
@@ -288,9 +288,9 @@ def test_gamma_squared_reproduces_truncated_moment():
         for n in (1, 7, 100, 9999, 15000, 20000):
             held = gs._ns[np.searchsorted(gs._ns, n, side="right") - 1]
             c_eff = T.c_level(gs.scheme, max(int(held), gs.n0))
-            want = M.truncated_second_moment(law, c_eff)
+            want = M.radial_profile(law, c_eff) * np.eye(law.d)
             g = _gamma(gs, n).entries
-            np.testing.assert_allclose(g @ g, want.entries, atol=1e-9)
+            np.testing.assert_allclose(g @ g, want, atol=1e-9)
 
 
 def test_gamma_loewner_monotone_along_cache():
@@ -352,21 +352,13 @@ def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("value", [0.0, -1e-11, 0.3, 1.0, 7.25e5])
 def test_scaled_identity_matches_from_array(d, value):
-    fast = SymPSD.scaled_identity(d, value)
-    slow = SymPSD.from_array(value * np.eye(d))
-    assert np.array_equal(fast.entries.view(np.int64), slow.entries.view(np.int64))
-    assert not fast.entries.flags.writeable
-
-
-def test_scaled_identity_errors_match_from_array():
-    for d in (0, 9):
-        with pytest.raises(MatrixError, match=f"dimension must be in 1..8, got {d}"):
-            SymPSD.scaled_identity(d, 1.0)
-    with pytest.raises(NotPSDError) as fast:
-        SymPSD.scaled_identity(3, -0.5)
-    with pytest.raises(NotPSDError) as slow:
-        SymPSD.from_array(-0.5 * np.eye(3))
-    assert str(fast.value) == str(slow.value)
+    # _gamma builds Gamma_n = value * I through from_array, which must keep
+    # every entry bit for bit (tiny negative values are within TOL_PSD)
+    want = value * np.eye(d)
+    got = SymPSD.from_array(want)
+    assert got.d == d
+    assert np.array_equal(got.entries.view(np.int64), want.view(np.int64))
+    assert not got.entries.flags.writeable
 
 
 def test_gamma_bounds_and_errors():
@@ -385,17 +377,24 @@ def test_gamma_bounds_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# serialization round-trip
+# config mappings
 # ---------------------------------------------------------------------------
 
 
 def test_scheme_mapping_roundtrip():
-    schemes = [
-        T.sqrt_n(), T.sqrt_n_invLL5(), T.sqrt_n_polylog(-2.5),
-        T.table_scheme([1.5, 2.5, 3.5], n0=2),
+    cases = [
+        ({"family": "sqrt_n", "n0": "1"}, T.sqrt_n()),
+        ({"family": "sqrt_n", "n0": "7"}, T.sqrt_n(7)),
+        ({"family": "sqrt_n_invLL5", "n0": "308"}, T.sqrt_n_invLL5()),
+        ({"family": "sqrt_n_invLL5", "n0": "5"}, T.sqrt_n_invLL5(5)),
+        ({"family": "sqrt_n_polylog", "q": "-2.5", "n0": "44"}, T.sqrt_n_polylog(-2.5)),
+        ({"family": "sqrt_n_polylog", "q": "0.75"}, T.sqrt_n_polylog(0.75, 1)),
+        ({"family": "table", "levels": "1.5,2.5,3.5", "n0": "2"},
+         T.table_scheme([1.5, 2.5, 3.5], n0=2)),
+        ({"family": "table", "levels": "1.5, 2.5,"}, T.table_scheme([1.5, 2.5], n0=1)),
     ]
-    for s in schemes:
-        assert T.scheme_from_mapping(T.scheme_to_mapping(s)) == s
+    for mapping, want in cases:
+        assert T.scheme_from_mapping(mapping) == want
     assert T.scheme_from_mapping({}) == T.sqrt_n()
     with pytest.raises(ValueError):
         T.scheme_from_mapping({"family": "exp_n"})
