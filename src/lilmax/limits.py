@@ -3,8 +3,9 @@
 Everything here is deterministic: the Gumbel limit family, the slow-growth
 boundary family phi(t) = sqrt(2 LLt + a LLLt + b LLLLt), chi-norm tails with
 their t^{d-2} exp(-t^2/2) envelope, sub-Gaussian norm tail bounds, the
-density-ratio bound for a two-dimensional Gaussian with one shrunk axis,
-and a convergence classifier for the boundary series
+density-ratio bound for a two-dimensional Gaussian with one shrunk axis
+(a modified Bessel closed form), and a convergence classifier for the
+boundary series
 
     sum_n phi^d(n) exp(-phi^2(n)/2) / n
 
@@ -17,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import i0e
 
 from .iterlog import iterlog
-from .models import gaussian_iso, prob_tail
+from .models import _GL_NODES, _GL_WEIGHTS, gaussian_iso, prob_tail
 
 __all__ = [
     "GumbelLaw",
@@ -233,26 +234,25 @@ class DensityRatioReport:
     bound: float
 
 
-def _ratio_integrand_factory(half_beta_z: float):
-    def f(theta: float) -> float:
-        s = math.sin(theta)
-        return math.exp(-half_beta_z * s * s)
-
-    return f
-
-
 def aniso_chisq_density_ratio(sigma: float, z_grid) -> DensityRatioReport:
-    """Evaluate h(z)/h1(z) by quadrature of the defining convolution.
+    """Evaluate h(z)/h1(z) in closed form.
 
-    Substituting y = z sin^2(theta) removes both inverse-square-root
-    endpoint singularities, leaving the smooth integrand
-    exp(-beta z sin^2(theta) / 2) with beta = sigma^{-2} - 1:
+    Substituting y = z sin^2(theta) in the defining convolution removes
+    both inverse-square-root endpoint singularities, leaving
 
         ratio(z) = (2 sqrt(z) / (sigma sqrt(2 pi)))
-                   * integral_0^{pi/2} exp(-beta z sin^2 theta / 2) dtheta.
+                   * integral_0^{pi/2} exp(-c sin^2 theta) dtheta,
 
-    The prefactor is fixed by normalization: integral ratio * h1 = 1, and
-    ratio -> 1 pointwise as sigma -> 0.
+    with c = beta z / 2 and beta = sigma^{-2} - 1.  The prefactor is fixed
+    by normalization: integral ratio * h1 = 1, and ratio -> 1 pointwise as
+    sigma -> 0.  Since sin^2 theta = (1 - cos 2 theta)/2,
+
+        integral_0^{pi/2} exp(-c sin^2 theta) dtheta
+            = e^{-c/2} integral_0^{pi/2} exp((c/2) cos 2 theta) dtheta
+            = (pi/2) e^{-c/2} I0(c/2),
+
+    so ratio(z) = sqrt(pi/2) (sqrt(z)/sigma) i0e(beta z / 4), where the
+    exponentially scaled i0e(x) = e^{-x} I0(x) cannot overflow.
     """
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must be inside (0, 1)")
@@ -260,24 +260,7 @@ def aniso_chisq_density_ratio(sigma: float, z_grid) -> DensityRatioReport:
     if z.ndim != 1 or len(z) == 0 or np.any(z <= 0.0):
         raise ValueError("need a 1-d grid of positive z values")
     beta = 1.0 / (sigma * sigma) - 1.0
-    pref = 2.0 / (sigma * math.sqrt(2.0 * math.pi))
-    ratios = np.empty(len(z))
-    for i, zi in enumerate(z):
-        res = quad(
-            _ratio_integrand_factory(0.5 * beta * zi),
-            0.0,
-            0.5 * math.pi,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=200,
-            full_output=1,
-        )
-        val, err = res[0], res[1]
-        if len(res) > 3 or err > 1e-9 * max(abs(val), 1e-300):
-            raise ArithmeticError(
-                f"quadrature did not converge at z = {zi}: error {err:g}"
-            )
-        ratios[i] = pref * math.sqrt(zi) * val
+    ratios = math.sqrt(0.5 * math.pi) / sigma * np.sqrt(z) * i0e(0.25 * beta * z)
     i = int(np.argmax(ratios))
     return DensityRatioReport(
         sigma=float(sigma),
@@ -322,13 +305,12 @@ def integral_test_term(phi: PhiFamily, ns):
 _EXACT_SUM_LIMIT = 1_000_000
 # LLL kink: LL(n) crosses e here, releasing the third-log floor
 _LLL_RELEASE = math.exp(math.exp(math.e))
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(64)
 
 
 def _gl_segment(fn, lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(np.sum(_GL_W * fn(mid + half * _GL_T)))
+    return half * float(np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES)))
 
 
 def _em_segment_sum(phi: PhiFamily, n0: float, n1: float) -> float:
@@ -376,8 +358,8 @@ def _log_h(phi: PhiFamily, w: np.ndarray) -> np.ndarray:
 def _log_block_integral(phi: PhiFamily, lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid + half * _GL_T
-    logs = _log_h(phi, nodes) + np.log(half * _GL_W)
+    nodes = mid + half * _GL_NODES
+    logs = _log_h(phi, nodes) + np.log(half * _GL_WEIGHTS)
     m = float(np.max(logs))
     return m + math.log(float(np.sum(np.exp(logs - m))))
 

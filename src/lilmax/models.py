@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc, gammainc, gammaincc
 
 from .iterlog import iterlog
@@ -278,6 +277,10 @@ def _cube_sq_cdf_spline(m: int):
     previous one with fixed-order Gauss-Legendre after the smoothing
     substitution X^2 = v^2.  Monotone by construction of PCHIP.
     """
+    # deferred: loading scipy.interpolate costs every process a third of a
+    # second, and only cube laws with d >= 4 get here
+    from scipy.interpolate import PchipInterpolator
+
     if m <= 2:
         raise ValueError("closed forms cover m <= 2")
     prev = _cube_sq_cdf(m - 1)
@@ -337,23 +340,37 @@ def _cube_trunc_2(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cube_last_coord(d: int, t: np.ndarray, moment: bool) -> np.ndarray:
+    """(1/sqrt 3) integral_0^{min(t, sqrt 3)} w(v) F_{d-1}(t^2 - v^2) dv.
+
+    The last coordinate X_d = +-v integrated against the exact (d-1)-coordinate
+    squared-norm CDF F_{d-1}: w(v) = v^2 gives E[X_d^2 1{|X| <= t}] and
+    w(v) = 1 gives P{|X| <= t}.  Clipped to [0, 1].
+    """
+    prev = _cube_sq_cdf(d - 1)
+    ub = np.minimum(np.clip(t, 0.0, None), _CUBE_HALF)
+
+    def integrand(v):
+        cdf = prev(t[..., None] ** 2 - v * v)
+        return v * v * cdf if moment else cdf
+
+    return np.clip(_gl_integrate(integrand, np.zeros_like(t), ub) / _CUBE_HALF, 0.0, 1.0)
+
+
 def _cube_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if d == 1:
         return _cube_trunc_1(t)
     if d == 2:
         return _cube_trunc_2(t)
-    prev = _cube_sq_cdf(d - 1)
-    ub = np.minimum(np.clip(t, 0.0, None), _CUBE_HALF)
-    vals = _gl_integrate(
-        lambda v: v * v * prev(t[..., None] ** 2 - v * v), np.zeros_like(t), ub
-    ) / _CUBE_HALF
-    return np.where(t * t >= 3.0 * d, 1.0, np.clip(vals, 0.0, 1.0))
+    return np.where(t * t >= 3.0 * d, 1.0, _cube_last_coord(d, t, moment=True))
 
 
 def _cube_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    return 1.0 - _cube_sq_cdf(d)(t * t)
+    if d <= 2:
+        return 1.0 - _cube_sq_cdf(d)(t * t)
+    return np.where(t * t >= 3.0 * d, 0.0, 1.0 - _cube_last_coord(d, t, moment=False))
 
 
 # ---------------------------------------------------------------------------

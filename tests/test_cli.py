@@ -5,9 +5,13 @@ exactly what a shell user gets.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lilmax
 from lilmax.cli import main, shift_driver_table
 from lilmax.models import atom_ladder
 
@@ -333,3 +337,36 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import surface
+# ---------------------------------------------------------------------------
+
+IMPORT_PROBE = """\
+import sys
+import lilmax.cli
+from lilmax.models import prob_tail, radial_profile, uniform_cube
+heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+print([m for m in heavy if m in sys.modules])
+radial_profile(uniform_cube(3), [0.5, 2.0])
+prob_tail(uniform_cube(3), [0.5, 2.0])
+print("scipy.interpolate" in sys.modules)
+prob_tail(uniform_cube(4), [0.5, 2.0])
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.interpolate alone pulls in optimize, sparse, spatial and linalg,
+    # about a third of a second per process; only cube laws with d >= 4
+    # need it, and they load it on first use
+    src = os.path.dirname(os.path.dirname(lilmax.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "False", "True"]

@@ -1,8 +1,9 @@
 """Tests for limit laws, tail inequalities, and the series classifier.
 
-Frozen constants were computed with mpmath at 40 digits; Bessel-function
-oracles use scipy.special, which shares no code with the quadrature under
-test.
+Frozen constants were computed with mpmath at 40 digits.  The density
+ratio is computed in closed form (a modified Bessel function); its oracle is
+an adaptive scipy quadrature of the defining theta-integral, which shares no
+code with the closed form under test.
 """
 
 import math
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
-from scipy.special import i0e as scipy_i0e
 
 from lilmax.iterlog import iterlog
 from lilmax.limits import (
@@ -38,10 +38,22 @@ INV_E = 0.3678794411714423
 
 
 def _ratio_oracle(sigma, z):
-    """Bessel closed form: sqrt(pi/2) (sqrt(z)/sigma) e^{-c} I0(c), c = beta z/4."""
-    beta = 1.0 / sigma**2 - 1.0
-    c = 0.25 * beta * z
-    return math.sqrt(0.5 * math.pi) * math.sqrt(z) / sigma * scipy_i0e(c)
+    """(2 sqrt(z) / (sigma sqrt(2 pi))) int_0^{pi/2} exp(-beta z sin^2(theta) / 2)
+    dtheta, beta = sigma^-2 - 1, by adaptive quadrature."""
+    half_beta_z = 0.5 * (1.0 / sigma**2 - 1.0) * z
+    val, _ = scipy_quad(
+        lambda th: math.exp(-half_beta_z * math.sin(th) ** 2),
+        0.0,
+        0.5 * math.pi,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return 2.0 * math.sqrt(z) / (sigma * math.sqrt(2.0 * math.pi)) * val
+
+
+def _ratio(sigma, z):
+    return float(aniso_chisq_density_ratio(sigma, np.array([z])).ratios[0])
 
 
 def _h1(z):
@@ -274,12 +286,12 @@ def test_density_ratio_frozen_point():
     assert rep.max_ratio == pytest.approx(RATIO_HALF_10, rel=1e-9)
 
 
-def test_density_ratio_matches_bessel_oracle():
-    z = np.geomspace(0.01, 100.0, 25)
-    for sigma in (0.2, 0.5, 0.8):
+def test_density_ratio_matches_quadrature():
+    z = np.geomspace(0.01, 100.0, 120)
+    for sigma in (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
         rep = aniso_chisq_density_ratio(sigma, z)
         oracle = np.array([_ratio_oracle(sigma, zi) for zi in z])
-        assert np.allclose(rep.ratios, oracle, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(rep.ratios, oracle, rtol=1e-12, atol=0)
 
 
 def test_density_ratio_below_bound():
@@ -299,18 +311,18 @@ def test_density_is_normalized():
     """integral ratio(z) h1(z) dz = 1 pins the convolution prefactor."""
     for sigma in (0.3, 0.8):
         total, err = scipy_quad(
-            lambda z: _ratio_oracle(sigma, z) * _h1(z), 0.0, np.inf, limit=300
+            lambda z: _ratio(sigma, z) * _h1(z), 0.0, np.inf, limit=300
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_density_ratio_mc_cross_check():
-    """Empirical CDF of R1 + sigma^2 R2 against the quadrature density."""
+    """Empirical CDF of R1 + sigma^2 R2 against the closed-form density."""
     sigma = 0.6
     rng = np.random.default_rng(9090)
     draws = rng.chisquare(1, 2_000_000) + sigma**2 * rng.chisquare(1, 2_000_000)
     z0 = 1.0
-    prob, _ = scipy_quad(lambda z: _ratio_oracle(sigma, z) * _h1(z), 0.0, z0, limit=200)
+    prob, _ = scipy_quad(lambda z: _ratio(sigma, z) * _h1(z), 0.0, z0, limit=200)
     freq = float(np.mean(draws <= z0))
     se = math.sqrt(prob * (1 - prob) / 2_000_000)
     assert abs(freq - prob) < 4.0 * se
@@ -320,7 +332,7 @@ def test_density_ratio_tail_form():
     # integrated form: P{|Y| >= t} <= 2 (1-sigma^2)^{-1/2} P{chi2_1 >= t^2}
     sigma, t = 0.8, 3.0
     lhs, _ = scipy_quad(
-        lambda z: _ratio_oracle(sigma, z) * _h1(z), t * t, np.inf, limit=300
+        lambda z: _ratio(sigma, z) * _h1(z), t * t, np.inf, limit=300
     )
     rhs = 2.0 / math.sqrt(1 - sigma**2) * chi_norm_tail(1, t)
     assert lhs <= rhs

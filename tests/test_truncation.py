@@ -234,6 +234,12 @@ def test_default_n0_values():
         (M.gaussian_iso(3), 18),
         (M.uniform_cube(1), 3),
         (M.uniform_cube(2), 6),
+        (M.uniform_cube(3), 8),
+        (M.uniform_cube(4), 10),
+        (M.uniform_cube(5), 12),
+        (M.uniform_cube(6), 14),
+        (M.uniform_cube(7), 16),
+        (M.uniform_cube(8), 17),
         (M.rademacher_product(1), 1),
         (M.rademacher_product(2), 2),
         (M.atom_ladder(0.5, 2, d=1), 3),
