@@ -343,6 +343,12 @@ def cmd_integral_test(args) -> int:
             "slope_linear": probe.slope_linear,
             "slope_loglog": probe.slope_loglog,
             "partial_sum_at_n_max": float(probe.partial_sums[-1]),
+            "em_validation_rel": probe.em_validation_rel,
+            # an overflowed increment is null: json.dumps would write the
+            # non-standard token Infinity
+            "tail_increment": (
+                probe.tail_increment if np.isfinite(probe.tail_increment) else None
+            ),
             "agreement": agree,
         },
     )

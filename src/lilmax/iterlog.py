@@ -30,15 +30,23 @@ def iterlog(t, depth: int = 1):
     """
     if not 1 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{_MAX_DEPTH}, got {depth}")
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("iterlog is defined for nonnegative arguments only")
-    out = arr
-    for _ in range(depth):
-        out = np.log(np.maximum(out, E))
+    out = _log_chain(t, depth)[-1]
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
     return out
+
+
+def _log_chain(t, depth: int) -> list:
+    """[L t, LL t, ..., L^depth t], one floored log per level, so a caller
+    that needs several depths takes each log once."""
+    out = np.asarray(t, dtype=float)
+    if np.any(out < 0.0):
+        raise ValueError("iterlog is defined for nonnegative arguments only")
+    chain = []
+    for _ in range(depth):
+        out = np.log(np.maximum(out, E))
+        chain.append(out)
+    return chain
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e
 
-from .iterlog import iterlog
+from .iterlog import _log_chain
 from .models import _GL_NODES, _GL_WEIGHTS, gaussian_iso, prob_tail
 
 __all__ = [
@@ -98,11 +98,8 @@ class PhiFamily:
 
     def squared(self, t):
         t = np.asarray(t, dtype=float)
-        r = (
-            2.0 * np.asarray(iterlog(t, 2), dtype=float)
-            + self.a * np.asarray(iterlog(t, 3), dtype=float)
-            + self.b * np.asarray(iterlog(t, 4), dtype=float)
-        )
+        _, ll, lll, llll = _log_chain(t, 4)
+        r = 2.0 * ll + self.a * lll + self.b * llll
         if np.any(r < 0.0):
             bad = np.asarray(t)[np.asarray(r) < 0.0]
             raise ValueError(
@@ -303,8 +300,38 @@ def integral_test_term(phi: PhiFamily, ns):
 
 
 _EXACT_SUM_LIMIT = 1_000_000
+# the Euler-Maclaurin leg is validated on (_EM_CHECK_FROM, n_exact]
+_EM_CHECK_FROM = 10**5
+# Rows per block of the streamed exact sum: 8192 float64 rows are 64 KB,
+# under glibc's 128 KB mmap threshold, so each block's temporaries reuse
+# heap memory instead of faulting in fresh pages.
+_SUM_BLOCK = 8192
 # LLL kink: LL(n) crosses e here, releasing the third-log floor
 _LLL_RELEASE = math.exp(math.exp(math.e))
+
+
+def _exact_partial_sums(phi: PhiFamily, n_exact: int, at) -> dict:
+    """{c: sum_{n <= c} term(n)} for each c in `at` (all <= n_exact),
+    streamed over n = 1..n_exact in blocks of _SUM_BLOCK rows.
+
+    Bit-identical to reading one np.cumsum over the whole range: the
+    accumulate adds left to right, so adding the carried total into a
+    block's first term is exactly the add the full cumsum makes there.
+    """
+    at = sorted(set(at))
+    sums = {}
+    i = 0
+    carry = 0.0
+    for lo in range(1, n_exact + 1, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK - 1, n_exact)
+        part = integral_test_term(phi, np.arange(lo, hi + 1, dtype=float))
+        part[0] += carry
+        np.cumsum(part, out=part)
+        while i < len(at) and at[i] <= hi:
+            sums[at[i]] = float(part[at[i] - lo])
+            i += 1
+        carry = part[-1]
+    return sums
 
 
 def _gl_segment(fn, lo: float, hi: float) -> float:
@@ -371,7 +398,9 @@ class IntegralProbe:
 
     ns / partial_sums are honest partial sums at geometric checkpoints
     (exact summation up to 10^6, Euler-Maclaurin blocks beyond, the two
-    validated against each other on the overlap).  The verdict comes from
+    validated against each other on the overlap (10^5, min(n_max, 10^6)]).
+    The exact leg is streamed in blocks of 8192 terms, holds no array of
+    length n, and is bit-identical to one np.cumsum.  The verdict comes from
     growth slopes of the continued integral in w = log(LL n): block
     integrals grow like exp(w (d + 2 - a) / 2) with a power-of-w profile
     w^{1 - b/2} on the a = d + 2 critical line, so the linear slope decides
@@ -391,27 +420,30 @@ class IntegralProbe:
 
 
 def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralProbe:
-    if not (10**4 <= n_max <= 10**9):
-        raise ValueError("n_max must be between 1e4 and 1e9")
+    """Probe the boundary series of `phi` up to n_max (1e5..1e9).
+
+    The terms up to min(n_max, 10^6) are summed exactly, streamed in blocks
+    of 8192 so that no array of length n is held; every exact partial sum is
+    bit-identical to the same entry of one np.cumsum over 1..n.
+    """
+    if not (_EM_CHECK_FROM <= n_max <= 10**9):
+        raise ValueError("n_max must be between 1e5 and 1e9")
 
     # exact partial sums at geometric checkpoints
     n_exact = min(n_max, _EXACT_SUM_LIMIT)
-    all_n = np.arange(1, n_exact + 1)
-    cumulative = np.cumsum(integral_test_term(phi, all_n))
     checkpoints = [int(round(10 ** (j / 2.0))) for j in range(2, 19)]
     checkpoints = sorted({c for c in checkpoints if c <= n_max})
-    ns, sums = [], []
-    for c in checkpoints:
-        if c <= n_exact:
-            ns.append(c)
-            sums.append(float(cumulative[c - 1]))
-        else:
-            ns.append(c)
-            sums.append(float(cumulative[-1]) + _em_segment_sum(phi, n_exact, c))
+    exact = _exact_partial_sums(
+        phi, n_exact, [c for c in checkpoints if c <= n_exact] + [_EM_CHECK_FROM, n_exact]
+    )
+    sums = [
+        exact[c] if c <= n_exact else exact[n_exact] + _em_segment_sum(phi, n_exact, c)
+        for c in checkpoints
+    ]
 
     # validate the Euler-Maclaurin leg against exact summation on an overlap
-    exact_seg = float(cumulative[-1] - cumulative[10**5 - 1])
-    em_seg = _em_segment_sum(phi, 10**5, n_exact)
+    exact_seg = exact[n_exact] - exact[_EM_CHECK_FROM]
+    em_seg = _em_segment_sum(phi, _EM_CHECK_FROM, n_exact)
     em_rel = abs(em_seg - exact_seg) / max(abs(exact_seg), 1e-300)
 
     # continued-integral growth diagnostics in w = log(LL n)
@@ -435,7 +467,7 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
 
     return IntegralProbe(
         phi=phi,
-        ns=np.asarray(ns),
+        ns=np.asarray(checkpoints),
         partial_sums=np.asarray(sums),
         em_validation_rel=float(em_rel),
         w_mid=w_mid,

@@ -5,6 +5,7 @@ exactly what a shell user gets.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,8 @@ def test_integral_test_convergent(tmp_path, capsys):
     payload = _summaries(out)[0]
     assert payload["classifier"] == "convergent"
     assert payload["probe_verdict"] == "convergent"
+    for key in ("em_validation_rel", "tail_increment"):
+        assert math.isfinite(payload[key]), key
 
 
 def test_integral_test_divergent_override(tmp_path, capsys):
@@ -303,6 +306,20 @@ def test_integral_test_divergent_override(tmp_path, capsys):
     )
     assert code == 0
     assert "divergent" in capsys.readouterr().out
+
+
+def test_integral_test_overflowed_tail_is_null(tmp_path):
+    out = tmp_path / "out"
+    assert main(["integral-test", "--out", str(out), "--set", "integral.a=1"]) == 0
+    line = (out / "summary.jsonl").read_text(encoding="utf-8")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(line, parse_constant=reject)
+    assert payload["probe_verdict"] == "divergent"
+    assert payload["tail_increment"] is None
+    assert math.isfinite(payload["em_validation_rel"])
 
 
 def test_tail_bounds_all_pass(tmp_path, capsys):

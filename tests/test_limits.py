@@ -7,6 +7,7 @@ code with the closed form under test.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from scipy.integrate import quad as scipy_quad
 
 from lilmax.iterlog import iterlog
 from lilmax.limits import (
+    _SUM_BLOCK,
     GumbelLaw,
     PhiFamily,
+    _exact_partial_sums,
     aniso_chisq_density_ratio,
     chi_norm_tail,
     chi_tail_envelope,
@@ -119,6 +122,10 @@ def test_phi_matches_manual_formula():
             2.0 * iterlog(t, 2) + 3.0 * iterlog(t, 3) - 1.0 * iterlog(t, 4)
         )
         assert phi(t) == pytest.approx(expect, rel=1e-15)
+    # one log chain takes the same steps as three iterlog calls, bit for bit
+    ts = np.geomspace(1.0, 1e12, 1001)
+    expect = 2.0 * iterlog(ts, 2) + phi.a * iterlog(ts, 3) + phi.b * iterlog(ts, 4)
+    assert np.array_equal(phi.squared(ts), expect)
 
 
 def test_phi_floor_region():
@@ -429,6 +436,9 @@ def test_probe_n_max_validation():
         integral_test_partial_sums(PhiFamily(a=0, b=0, d=1), n_max=10**10)
     with pytest.raises(ValueError, match="n_max"):
         integral_test_partial_sums(PhiFamily(a=0, b=0, d=1), n_max=100)
+    # below the Euler-Maclaurin validation window, which starts at 1e5
+    with pytest.raises(ValueError, match="n_max"):
+        integral_test_partial_sums(PhiFamily(a=0, b=0, d=1), n_max=5 * 10**4)
 
 
 def test_probe_small_n_max_stays_exact():
@@ -439,3 +449,140 @@ def test_probe_small_n_max_stays_exact():
     direct = float(np.sum(integral_test_term(phi, np.arange(1, 1001))))
     i = int(np.where(probe.ns == 1000)[0][0])
     assert probe.partial_sums[i] == pytest.approx(direct, rel=1e-14)
+
+
+# Recorded from the unstreamed probe, which summed the exact leg with one
+# np.cumsum over 1..n.  Compared with ==: the streamed sum must reproduce it
+# bit for bit.  n_max = 123457 is not a multiple of the block size; at 1e5
+# and 123457 the partial sums are the first nine entries.  d = 3 takes the
+# phi^2 ** 1.5 path.
+PROBE_NS = [10, 32, 100, 316, 1000, 3162, 10000, 31623, 100000, 316228, 1000000,
+            3162278, 10000000, 31622777, 100000000, 316227766, 1000000000]
+PROBE_ORACLE = {
+    (1, 2.0, 1.0): {
+        "partial_sums": [
+            0.5376052014421596, 0.7313283412410407, 0.8819221939459293,
+            1.006154499278574, 1.1112758260042361, 1.2023655537621256,
+            1.2829031194986054, 1.3551536363442176, 1.4207318390404635,
+            1.480815522046964, 1.5362906431302843, 1.5878423651621145,
+            1.6356149156230928, 1.6794673576250818, 1.7199513084801652,
+            1.7575223597224938, 1.792551264447503,
+        ],
+        "em_validation_rel": {
+            1_000_000_000: 3.9239142565033865e-12,
+            100_000: 0.0,
+            123_457: 1.533858709970138e-11,
+        },
+        "log_increments": [
+            8.530508631715925, 15.157451574591988, 27.160672323693994,
+            48.747398985524406, 87.36898779972697, 156.2785600897834, 279.0461151185045,
+            497.58684564377114, 886.4382881482825, 1578.149343419669,
+            2808.4291598138407, 4996.429906991612, 8887.442990053196,
+            15806.662532279515, 28110.756818835394, 49990.65048589967,
+        ],
+        "slope_linear": 0.6399639520894258,
+        "slope_loglog": 3627.6559642195907,
+        "tail_increment": math.inf,
+        "verdict": "divergent",
+    },
+    (2, 4.0, 3.0): {
+        "partial_sums": [
+            0.29284108374559453, 0.398575992978793, 0.4814859212378362,
+            0.5504577692126038, 0.6092506005831053, 0.6605247117710177,
+            0.7061173372327767, 0.7472265882533251, 0.7847103813540763,
+            0.8191966248097043, 0.8511591790493186, 0.8809657042956153,
+            0.9084715601595552, 0.9332873627399065, 0.9558317202227017,
+            0.9764474446008076, 0.9954080808084584,
+        ],
+        "em_validation_rel": {
+            1_000_000_000: 3.823822639178732e-12,
+            100_000: 0.0,
+            123_457: 1.4762782522945767e-11,
+        },
+        "log_increments": [
+            -1.1506674936160244, -1.438692527612353, -1.7265157465833503,
+            -2.0143388832076843, -2.30216201983194, -2.5899851564561955,
+            -2.8778082930804594, -3.1656314297047636, -3.4534545663290195,
+            -3.741277702953107, -4.029100839577303, -4.316923976201559,
+            -4.60474711282605, -4.8925702494518895, -5.180393386076146,
+            -5.468216522700402,
+        ],
+        "slope_linear": -4.605663214852017e-05,
+        "slope_loglog": -0.5000077426182594,
+        "tail_increment": 0.004218749496462822,
+        "verdict": "convergent",
+    },
+    (3, 5.0, 2.0): {
+        "partial_sums": [
+            0.8785232512367833, 1.198574786906381, 1.4578285051431508,
+            1.6789684108382448, 1.8711406492923777, 2.0413526273306277,
+            2.1946654528296907, 2.3344293149685393, 2.4630911360369994,
+            2.58246755317343, 2.6939464555815382, 2.798616840242014, 2.8956076593515365,
+            2.9831078097992134, 3.0625772221825165, 3.135221678603551,
+            3.2020053493855225,
+        ],
+        "em_validation_rel": {
+            1_000_000_000: 2.7873963066664068e-12,
+            100_000: 0.0,
+            123_457: 1.4218495722087026e-11,
+        },
+        "log_increments": [
+            0.4877803397288538, 0.48745898596197934, 0.4874588549681107,
+            0.4874588549679868, 0.4874588549679859, 0.48745885496799035,
+            0.48745885496798014, 0.487458854967906, 0.48745885496788954,
+            0.4874588549681551, 0.4874588549682457, 0.4874588549684593,
+            0.48745885496763997, 0.4874588549656944, 0.48745885496672914,
+            0.4874588549647103,
+        ],
+        "slope_linear": -5.167476237947836e-10,
+        "slope_loglog": -1.2323679256595068e-05,
+        "tail_increment": 1.6281735335098182,
+        "verdict": "divergent",
+    },
+}
+
+
+@pytest.mark.parametrize("n_max", [10**9, 10**5, 123_457])
+@pytest.mark.parametrize("cell", list(PROBE_ORACLE), ids=lambda c: "d%d-a%g-b%g" % c)
+def test_probe_frozen_oracle(cell, n_max):
+    d, a, b = cell
+    want = PROBE_ORACLE[cell]
+    probe = integral_test_partial_sums(PhiFamily(a=a, b=b, d=d), n_max=n_max)
+    k = len(PROBE_NS) if n_max == 10**9 else 9
+    assert probe.ns.tolist() == PROBE_NS[:k]
+    assert probe.partial_sums.tolist() == want["partial_sums"][:k]
+    assert probe.em_validation_rel == want["em_validation_rel"][n_max]
+    assert probe.log_increments.tolist() == want["log_increments"]
+    assert probe.slope_linear == want["slope_linear"]
+    assert probe.slope_loglog == want["slope_loglog"]
+    assert probe.tail_increment == want["tail_increment"]
+    assert probe.verdict == want["verdict"]
+
+
+@pytest.mark.parametrize(
+    "n", [13 * _SUM_BLOCK, 13 * _SUM_BLOCK + 1, 10**6], ids=["boundary", "past", "1e6"]
+)
+@pytest.mark.parametrize("d", [1, 3])
+def test_streamed_sum_matches_one_cumsum(n, d):
+    phi = PhiFamily(a=d + 2, b=1, d=d)
+    at = [int(round(10 ** (j / 2.0))) for j in range(2, 13)]
+    at = [c for c in at if c <= n] + [n]
+    edges = range(_SUM_BLOCK, n, _SUM_BLOCK)
+    at += list(edges) + [e + 1 for e in edges]
+    got = _exact_partial_sums(phi, n, at)
+    full = np.cumsum(integral_test_term(phi, np.arange(1, n + 1)))
+    assert sorted(got) == sorted(set(at))
+    assert all(got[c] == full[c - 1] for c in at)
+
+
+def test_probe_holds_no_length_n_array():
+    phi = PhiFamily(a=3, b=1, d=2)
+    integral_test_partial_sums(phi)
+    tracemalloc.start()
+    try:
+        integral_test_partial_sums(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 array over n = 1..1e6 alone would be 8 MB
+    assert peak < 2 * 2**20, peak

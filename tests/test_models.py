@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lilmax import models as M
 from lilmax.iterlog import iterlog
+from lilmax.walkstats import BLOCK
 
 RELTOL = 5.0e-15
 
@@ -266,6 +267,23 @@ def test_sampler_deterministic_and_shaped(law, seed, size):
     assert x1.dtype == np.float64
     np.testing.assert_array_equal(x1, x2)
     assert np.all(np.isfinite(x1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("method", ["standard_normal", "random"])
+def test_rng_fill_out_matches_allocating_draw(method, d):
+    """Filling a preallocated (BLOCK, d) buffer with out= gives the same bits,
+    and leaves the stream where the allocating draw leaves it."""
+    shape = (BLOCK, d)
+    fresh = np.random.default_rng(1608)
+    reused = np.random.default_rng(1608)
+    buf = np.empty(shape)
+    for _ in range(2):
+        want = getattr(fresh, method)(shape)
+        got = getattr(reused, method)(out=buf)
+        assert got is buf
+        assert buf.tobytes() == want.tobytes()
+    assert fresh.bit_generator.state == reused.bit_generator.state
 
 
 # (law, draws with |X| above the core radius, sha256 of the float64 bytes) for
