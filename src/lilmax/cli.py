@@ -95,6 +95,17 @@ def _section(cp, name: str) -> dict:
     return dict(cp.items(name)) if cp.has_section(name) else {}
 
 
+def _number(sec: dict, key: str, default, cast=float):
+    """``sec[key]`` through ``cast``, ``default`` when the key is absent."""
+    raw = sec.get(key)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from exc
+
+
 def _floats_csv(raw: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -203,13 +214,15 @@ def cmd_shift_experiment(args) -> int:
     for row in rows:
         _say(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
 
-    ref_records, _ = run_and_persist(ref, out, threads=args.threads, gumbel=GumbelLaw())
-    records, summary = run_and_persist(
+    ref_records, ref_summary = run_and_persist(
+        ref, out, threads=args.threads, gumbel=GumbelLaw()
+    )
+    _, summary = run_and_persist(
         cfg, out, threads=args.threads, gumbel=GumbelLaw(),
         reference=ECDF.from_records(ref_records),
     )
-    median = ECDF.from_records(records).quantiles([0.5])[0]
-    ref_median = ECDF.from_records(ref_records).quantiles([0.5])[0]
+    median = summary["quantiles"]["q50"]
+    ref_median = ref_summary["quantiles"]["q50"]
     payload = {
         "command": "shift-experiment",
         "c": c,
@@ -314,12 +327,15 @@ def cmd_tightness_probe(args) -> int:
 def cmd_integral_test(args) -> int:
     cp = _parser_from_args(args)
     sec = _section(cp, "integral")
-    phi = PhiFamily(
-        a=float(sec.get("a", 4.0)),
-        b=float(sec.get("b", 0.0)),
-        d=int(sec.get("d", 1)),
-    )
-    n_max = int(float(sec.get("n_max", 10**9)))
+    a, b = _number(sec, "a", 4.0), _number(sec, "b", 0.0)
+    d = _number(sec, "d", 1, int)
+    n_max = _number(sec, "n_max", 10**9, lambda raw: int(float(raw)))
+    if not 10**5 <= n_max <= 10**9:
+        raise ConfigError(f"integral.n_max must be between 1e5 and 1e9, got {n_max}")
+    try:
+        phi = PhiFamily(a=a, b=b, d=d)
+    except ValueError as exc:
+        raise ConfigError(f"bad integral section: {exc}") from exc
     verdict = integral_test_classify(phi)
     probe = integral_test_partial_sums(phi, n_max=n_max)
     agree = "PASS" if probe.verdict == verdict else "FAIL"
@@ -368,6 +384,8 @@ def cmd_tail_bounds(args) -> int:
         if "sigmas" in sec
         else [round(0.1 * j, 1) for j in range(1, 10)]
     )
+    if not all(0.0 < sigma < 1.0 for sigma in sigmas):
+        raise ConfigError(f"tails.sigmas must lie in (0, 1), got {sec['sigmas']!r}")
     checks = []
 
     for d in (1, 2, 3):

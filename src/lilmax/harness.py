@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "classical" and self.scheme is None:
             raise ConfigError(f"mode {self.mode!r} requires a truncation scheme")
+        if self.mode == "feller" and self.law.d != 1:
+            raise ConfigError(f"mode 'feller' is defined for d = 1, got d = {self.law.d}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.replications < 1:
@@ -122,8 +124,13 @@ def _section_mapping(cp: configparser.ConfigParser, name: str) -> Optional[dict]
     return dict(cp.items(name))
 
 
-def _build_law(mapping: dict, d: int) -> IncrementLaw:
+def _build_law(mapping: dict, sec: dict, section: str, d: int) -> IncrementLaw:
+    """The law of [section.law]; a ``d`` given there and in [section] must agree."""
     m = dict(mapping)
+    if "d" in sec and "d" in m and _get_int(m, "d") != d:
+        raise ConfigError(
+            f"[{section}] d = {d} disagrees with [{section}.law] d = {m['d']}"
+        )
     m.setdefault("d", d)
     try:
         return law_from_mapping(m)
@@ -161,8 +168,7 @@ def experiment_from_parser(
     law_map = _section_mapping(cp, f"{section}.law")
     if law_map is None:
         raise ConfigError(f"config needs an [{section}.law] section")
-    d = _get_int(sec, "d", 1)
-    law = _build_law(law_map, d)
+    law = _build_law(law_map, sec, section, _get_int(sec, "d", 1))
     scheme = _build_scheme(_section_mapping(cp, f"{section}.scheme"))
     try:
         return ExperimentConfig(
@@ -194,7 +200,7 @@ def reference_from_parser(
         return None
     d = _get_int(sec, "d", base.d)
     law_map = _section_mapping(cp, "reference.law")
-    law = _build_law(law_map, d) if law_map is not None else base.law
+    law = _build_law(law_map, sec, "reference", d) if law_map is not None else base.law
     if cp.has_section("reference.scheme"):
         scheme = _build_scheme(_section_mapping(cp, "reference.scheme"))
     else:

@@ -231,51 +231,46 @@ class GammaSequence:
     """Read-only cache of Gamma_n = psd_sqrt(A(c_{n v n0})^2) over 1..n_max.
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
-    held piecewise constant) beyond.  Built once, then shared across worker
-    threads without locking; so are the per-index ``inv_scales``, Feller's
-    B_k in ``feller_bn`` and its root ``sqrt_feller_bn``, all built lazily
-    on first use.
+    held piecewise constant) beyond.  ``inv_scales`` holds 1/lambda(Gamma_n)
+    for every n and is built with the sequence; the feller denominators
+    sqrt(B_k) in ``sqrt_feller_bn`` are built on first use.  Both are shared
+    across worker threads without locking.
     """
 
-    def __init__(
-        self,
-        law: IncrementLaw,
-        scheme: TruncationScheme,
-        n_max: int,
-        *,
-        n0: Optional[int] = None,
-    ):
+    def __init__(self, law: IncrementLaw, scheme: TruncationScheme, n_max: int):
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         self.law = law
         self.scheme = scheme
         self.n_max = int(n_max)
 
-        if n0 is None:
-            self.n0 = self._default_n0()
-        else:
-            if n0 < 1:
-                raise ValueError("n0 must be >= 1")
-            self.n0 = int(n0)
-        self.jump_residual = self._jump_sup(self.n0, min(self.n_max, JUMP_WINDOW))
-        self.jump_horizon_sup = self._jump_sup(self.n0, self.n_max, with_rungs=True)
+        # psi_k = k P{|X| > c_k} on the early window
+        w = min(self.n_max, JUMP_WINDOW)
+        ks = np.arange(1, w + 1)
+        psi = ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))
+        self.n0 = self._default_n0(psi)
+        self.jump_residual = float(psi[min(self.n0, w) - 1 :].max())
+        ks = _jump_candidates(law, scheme, self.n_max)
+        ks = ks[ks >= min(self.n0, self.n_max)]
+        self.jump_horizon_sup = float(
+            (ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))).max()
+        )
 
-        self._ns = _checkpoint_indices(self.n_max)
-        c = c_levels(scheme, np.maximum(self._ns, self.n0))
-
+        ns = _checkpoint_indices(self.n_max)
+        c = c_levels(scheme, np.maximum(ns, self.n0))
         # every catalogue law is isotropic: A(c)^2 = a(c) * I
-        self._scale = np.sqrt(np.clip(np.asarray(radial_profile(law, c)), 0.0, None))
-        bad = self._scale < LAMBDA_FLOOR * (1.0 - 1e-12)
+        scale = np.sqrt(np.clip(np.asarray(radial_profile(law, c)), 0.0, None))
+        bad = scale < LAMBDA_FLOOR * (1.0 - 1e-12)
         if bad.any():
-            first = int(self._ns[np.argmax(bad)])
             raise NearSingularError(
-                f"Gamma_{first} has eigenvalue {self._scale[bad][0]:.3g} below "
-                f"the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
+                f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {scale[bad][0]:.3g} "
+                f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
+        # each checkpoint's value is held up to the next checkpoint
+        self.inv_scales = np.repeat(1.0 / scale, np.diff(ns, append=self.n_max + 1))
+        self.inv_scales.setflags(write=False)
 
-    # -- construction helpers ------------------------------------------------
-
-    def _default_n0(self) -> int:
+    def _default_n0(self, psi: np.ndarray) -> int:
         law, scheme = self.law, self.scheme
         # eigenvalue clause: lambda_min = sqrt(a(c_n)) for isotropic laws
         n_eig = 1
@@ -290,87 +285,42 @@ class GammaSequence:
                 f"{LAMBDA_FLOOR} for {law_id(law)}"
             )
         # jump-visibility clause on the early window
-        w = min(self.n_max, JUMP_WINDOW)
-        ks = np.arange(1, w + 1)
-        psi = ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))
         suffix = np.maximum.accumulate(psi[::-1])[::-1]
         ok = suffix <= JUMP_BUDGET
         if ok.any():
-            return max(n_eig, int(ks[np.argmax(ok)]))
+            return max(n_eig, int(np.argmax(ok)) + 1)
         return n_eig  # window clause unsatisfiable: eigenvalue clause decides
 
-    def _jump_sup(self, n0: int, upto: int, with_rungs: bool = False) -> float:
-        """sup of psi_k = k P{|X| > c_k} over candidate k in [n0, upto]."""
-        if with_rungs:
-            ks = _jump_candidates(self.law, self.scheme, upto)
-        else:
-            ks = np.arange(1, upto + 1)
-        ks = ks[ks >= min(n0, upto)]
-        if ks.size == 0:
-            return 0.0
-        psi = ks * np.asarray(prob_tail(self.law, c_levels(self.scheme, ks)))
-        return float(psi.max())
+    def inv_apply(self, ks: range, rows: np.ndarray) -> np.ndarray:
+        """Rows Gamma_k^{-1} x for the unit-step index range ``ks``; (m, d) -> (m, d).
 
-    # -- lookups ---------------------------------------------------------------
-
-    def inv_scale(self, ns) -> np.ndarray:
-        """Vectorized 1/lambda(Gamma_n) (hot path).
-
-        A unit-step ``range`` of indices reads a slice view of ``inv_scales``
-        instead of gathering it.
+        Gamma_k is a scalar multiple of the identity, so each column is scaled
+        by a slice view of ``inv_scales`` (a broadcast over rows of length d
+        is slower).
         """
-        if isinstance(ns, range) and ns.step == 1:
-            if ns.start < 1 or ns.stop > self.n_max + 1:
-                raise ValueError(f"indices outside 1..{self.n_max}")
-            return self.inv_scales[ns.start - 1 : ns.stop - 1]
-        ns = np.asarray(ns)
-        if np.any(ns < 1) or np.any(ns > self.n_max):
+        if not isinstance(ks, range) or ks.step != 1:
+            raise ValueError("indices must be a unit-step range")
+        if ks.start < 1 or ks.stop > self.n_max + 1:
             raise ValueError(f"indices outside 1..{self.n_max}")
-        return self.inv_scales.take(ns - 1)
-
-    def inv_apply(self, ns, rows: np.ndarray) -> np.ndarray:
-        """Rows Gamma_n^{-1} x for per-row indices ns; shape (m, d) -> (m, d).
-
-        Gamma_n is a scalar multiple of the identity, so each row is scaled,
-        one column at a time (a broadcast over rows of length d is slower).
-        """
+        inv = self.inv_scales[ks.start - 1 : ks.stop - 1]
         rows = np.asarray(rows, dtype=float)
-        inv = self.inv_scale(ns)
         out = np.empty_like(rows)
         for j in range(rows.shape[1]):
             np.multiply(rows[:, j], inv, out=out[:, j])
         return out
 
     @cached_property
-    def inv_scales(self) -> np.ndarray:
-        """Read-only 1/lambda(Gamma_n) for n = 1..n_max, built on first use.
-
-        Each checkpoint's value is repeated up to the next checkpoint, so
-        entry n - 1 is the held value the lookup at n returns.
-        """
-        inv = np.repeat(1.0 / self._scale, np.diff(self._ns, append=self.n_max + 1))
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
-    def feller_bn(self) -> np.ndarray:
-        """Read-only B_1..B_{n_max} from ``feller_bn_prefix``, built on first use.
-
-        Levels floor at the scheme's n0, not at this sequence's ``n0``: a
-        higher floor would change the statistic.  Threads racing on the first
-        access build identical arrays.
-        """
-        bn = feller_bn_prefix(self.law, self.scheme, self.n_max)
-        bn.setflags(write=False)
-        return bn
-
-    @cached_property
     def sqrt_feller_bn(self) -> np.ndarray:
         """Read-only sqrt(B_k) for k = 1..n_max, the feller denominators.
 
-        The elementwise square root has the bits of the root of any slice.
+        B_k comes from ``feller_bn_prefix``, whose levels floor at the
+        scheme's n0, not at this sequence's ``n0``: a higher floor would
+        change the statistic.  The elementwise square root has the bits of
+        the root of any slice.  Threads racing on the first access build
+        identical arrays.
         """
-        den = np.sqrt(self.feller_bn)
+        den = feller_bn_prefix(self.law, self.scheme, self.n_max)
+        np.sqrt(den, out=den)
         den.setflags(write=False)
         return den
 

@@ -29,9 +29,9 @@ with the max always over the full range k = 1..n: the index floor n0 acts
 through the levels c_{k v n0} (every Gamma_k is invertible), not by
 excluding early terms, which keeps the classical and self-normalized modes
 exactly identical whenever Gamma_k is the identity.  Self_normalized floors
-at ``GammaSequence.n0``; feller reads B_k from ``GammaSequence.feller_bn``,
-which floors at the scheme's n0 (1 for ``sqrt_n``): a higher floor would
-change the statistic.
+at ``GammaSequence.n0``; feller divides by sqrt(B_k) from
+``GammaSequence.sqrt_feller_bn``, whose levels floor at the scheme's n0 (1 for
+``sqrt_n``): a higher floor would change the statistic.
 
 Ties in the argmax resolve to the smallest index for replay determinism.
 
@@ -336,7 +336,7 @@ def de_statistic(
         if mode == "feller":
             if d != 1:
                 raise ValueError("feller mode is defined for d = 1")
-            if gs.feller_bn[0] <= 0.0:
+            if gs.sqrt_feller_bn[0] <= 0.0:
                 raise ValueError("running variance is 0: truncation level below all mass")
 
     if mode == "feller":

@@ -145,6 +145,27 @@ def test_simulate_bad_scheme_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["experiment.mode=feller", "experiment.scheme.family=sqrt_n",
+          "experiment.d=2"], "d = 1, got d = 2"),
+        (["experiment.d=2", "experiment.law.d=1"], "disagrees"),
+    ],
+    ids=["feller_d2", "two_d_keys"],
+)
+def test_simulate_bad_dimension_exits_2(tmp_path, capsys, overrides, message):
+    cfg = _write(tmp_path, "g.ini", GAUSS_INI)
+    out = tmp_path / "o"
+    args = ["simulate", "--config", cfg, "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -320,6 +341,27 @@ def test_integral_test_overflowed_tail_is_null(tmp_path):
     assert payload["probe_verdict"] == "divergent"
     assert payload["tail_increment"] is None
     assert math.isfinite(payload["em_validation_rel"])
+
+
+@pytest.mark.parametrize(
+    "command, item, message",
+    [
+        ("integral-test", "integral.n_max=5e4", "between 1e5 and 1e9"),
+        ("integral-test", "integral.n_max=inf", "'n_max' must be a number"),
+        ("integral-test", "integral.d=9", "dimension must be in 1..8"),
+        ("integral-test", "integral.d=1.5", "'d' must be a number"),
+        ("integral-test", "integral.a=x", "'a' must be a number"),
+        ("integral-test", "integral.b=nan", "coefficients must be finite"),
+        ("tail-bounds", "tails.sigmas=1.5", "must lie in (0, 1)"),
+        ("tail-bounds", "tails.sigmas=0.5,0", "must lie in (0, 1)"),
+    ],
+)
+def test_bad_verification_values_exit_2(tmp_path, capsys, command, item, message):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (out / "summary.jsonl").exists()
 
 
 def test_tail_bounds_all_pass(tmp_path, capsys):

@@ -116,6 +116,29 @@ def test_config_overrides(tmp_path):
     assert "cube" in str(cfg.law.family)
 
 
+def test_config_two_d_keys_must_agree(tmp_path):
+    path = tmp_path / "demo.ini"
+    path.write_text(BASIC_INI.replace("d = 1\n", ""), encoding="utf-8")
+
+    def dims(*overrides):
+        cp = load_config_parser(str(path), overrides)
+        cfg = experiment_from_parser(cp)
+        return cfg.d, reference_from_parser(cp, cfg).d
+
+    # either key alone sets d, and two equal keys agree
+    assert dims() == (1, 1)
+    assert dims("experiment.d=2") == (2, 2)
+    assert dims("experiment.law.d=2") == (2, 2)
+    assert dims("experiment.d=2", "experiment.law.d=2") == (2, 2)
+    assert dims("reference.d=3") == (1, 3)
+    assert dims("reference.law.d=3") == (1, 3)
+    assert dims("reference.d=3", "reference.law.d=3") == (1, 3)
+    with pytest.raises(ConfigError, match=r"\[experiment\] d = 2 disagrees"):
+        dims("experiment.d=2", "experiment.law.d=1")
+    with pytest.raises(ConfigError, match=r"\[reference\] d = 2 disagrees"):
+        dims("reference.d=2", "reference.law.d=3")
+
+
 def test_config_override_validation(tmp_path):
     path = tmp_path / "demo.ini"
     path.write_text(BASIC_INI, encoding="utf-8")
@@ -159,6 +182,10 @@ def test_config_dataclass_validation():
         _cfg(replications=0)
     with pytest.raises(ConfigError, match="64-bit"):
         _cfg(master_seed=2**64)
+    # feller's running variance is a d = 1 quantity: rejected before any
+    # normalizer is built, not at the first replication
+    with pytest.raises(ConfigError, match="d = 1, got d = 2"):
+        _cfg(mode="feller", scheme=sqrt_n(), law=gaussian_iso(2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ running variance against a 40-digit incomplete-gamma sum, and the Gamma
 cache against the analytic truncated second moments it must reproduce.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -208,10 +209,12 @@ def test_feller_bn_floors_at_scheme_n0():
     law = M.gaussian_iso(1)
     gs = T.GammaSequence(law, T.sqrt_n(), 100)
     assert gs.n0 == 12
-    assert gs.feller_bn[0] == M.radial_profile(law, 1.0)
-    np.testing.assert_array_equal(gs.feller_bn, T.feller_bn_prefix(law, T.sqrt_n(), 100))
-    assert not gs.feller_bn.flags.writeable
-    assert gs.feller_bn is gs.feller_bn
+    assert gs.sqrt_feller_bn[0] == math.sqrt(float(M.radial_profile(law, 1.0)))
+    np.testing.assert_array_equal(
+        gs.sqrt_feller_bn, np.sqrt(T.feller_bn_prefix(law, T.sqrt_n(), 100))
+    )
+    assert not gs.sqrt_feller_bn.flags.writeable
+    assert gs.sqrt_feller_bn is gs.sqrt_feller_bn
 
 
 def test_feller_empty_sum_and_dimension_gate():
@@ -272,15 +275,15 @@ def test_ladder_jump_bookkeeping():
 
 def _gamma(gs, n: int) -> SymPSD:
     """Gamma_n rebuilt from the cached 1/lambda(Gamma_n)."""
-    return SymPSD.from_array(np.eye(gs.law.d) / float(gs.inv_scale([n])[0]))
+    return SymPSD.from_array(np.eye(gs.law.d) / float(gs.inv_scales[n - 1]))
 
 
 def test_rademacher_gamma_is_exact_identity():
     gs = T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 1000)
-    ns = [1, 2, 3, 50, 1000]
-    assert np.array_equal(gs.inv_scale(ns), np.ones(len(ns)))
+    assert np.array_equal(gs.inv_scales, np.ones(1000))
     rows = np.arange(10.0).reshape(5, 2)
-    assert np.array_equal(gs.inv_apply(ns, rows), rows)
+    assert np.array_equal(gs.inv_apply(range(1, 6), rows), rows)
+    assert np.array_equal(gs.inv_apply(range(996, 1001), rows), rows)
 
 
 def test_gaussian_gamma_converges_to_identity():
@@ -291,8 +294,9 @@ def test_gaussian_gamma_converges_to_identity():
 def test_gamma_squared_reproduces_truncated_moment():
     for law in [M.gaussian_iso(1), M.uniform_cube(2), M.atom_ladder(0.5, 2, d=1)]:
         gs = T.GammaSequence(law, T.sqrt_n(), 20000)
+        ns = T._checkpoint_indices(gs.n_max)
         for n in (1, 7, 100, 9999, 15000, 20000):
-            held = gs._ns[np.searchsorted(gs._ns, n, side="right") - 1]
+            held = ns[np.searchsorted(ns, n, side="right") - 1]
             c_eff = T.c_level(gs.scheme, max(int(held), gs.n0))
             want = M.radial_profile(law, c_eff) * np.eye(law.d)
             g = _gamma(gs, n).entries
@@ -309,7 +313,7 @@ def test_gamma_loewner_monotone_along_cache():
 
 def test_gamma_checkpoint_hold_and_exact_region():
     gs = T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 10**5)
-    ns = gs._ns
+    ns = T._checkpoint_indices(gs.n_max)
     above = ns[ns > T.EXACT_LIMIT]
     ratios = above[1:] / above[:-1]
     # integer rounding adds at most one index to the geometric step
@@ -317,19 +321,20 @@ def test_gamma_checkpoint_hold_and_exact_region():
     # held piecewise constant between checkpoints
     n = int(above[5])
     nxt = int(above[6])
+    inv = gs.inv_scales
     if nxt - n > 1:
-        assert gs.inv_scale([n + 1]) == gs.inv_scale([n])
+        assert inv[n] == inv[n - 1]
     # exact region: consecutive n past the n0 floor differ
-    assert gs.inv_scale([50]) != gs.inv_scale([51])
+    assert inv[49] != inv[50]
     # below the floor they are constant by the c_{n v n0} device
-    assert gs.inv_scale([1]) == gs.inv_scale([gs.n0])
+    assert inv[0] == inv[gs.n0 - 1]
 
 
 def test_checkpointed_scale_close_to_dense():
     # at n ~ 1e5 the held value perturbs the normalizer far below 1e-4
     gs = T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 10**5)
     ks = np.linspace(10**4, 10**5, 500).astype(int)
-    held = 1.0 / gs.inv_scale(ks)
+    held = 1.0 / gs.inv_scales[ks - 1]
     exact = np.sqrt(np.asarray(M.radial_profile(M.gaussian_iso(1), T.c_levels(gs.scheme, np.maximum(ks, gs.n0)))))
     assert np.max(np.abs(held - exact)) < 1e-4
 
@@ -339,20 +344,70 @@ def test_checkpointed_scale_close_to_dense():
 @pytest.mark.parametrize("scheme", [T.sqrt_n(), T.sqrt_n_invLL5()])
 def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
     gs = T.GammaSequence(law, scheme, n_max)
+    checkpoints = T._checkpoint_indices(n_max)
+    c = T.c_levels(scheme, np.maximum(checkpoints, gs.n0))
+    scale = np.sqrt(np.clip(np.asarray(M.radial_profile(law, c)), 0.0, None))
     ns = np.arange(1, n_max + 1)
     idx = np.where(
-        ns <= T.EXACT_LIMIT, ns - 1, np.searchsorted(gs._ns, ns, side="right") - 1
+        ns <= T.EXACT_LIMIT, ns - 1, np.searchsorted(checkpoints, ns, side="right") - 1
     )
-    want = 1.0 / gs._scale[idx]
+    want = 1.0 / scale[idx]
     assert not gs.inv_scales.flags.writeable
     assert np.array_equal(gs.inv_scales, want)
-    assert np.array_equal(gs.inv_scale(ns[::-37]), want[::-37])
-    # a unit-step range reads a slice of the same table
-    assert np.array_equal(gs.inv_scale(range(3, n_max + 1)), want[2:])
-    assert np.shares_memory(gs.inv_scale(range(3, 4099)), gs.inv_scales)
-    for bad in ([0], [n_max + 1], range(0, 5), range(n_max - 1, n_max + 2)):
+    # a unit-step range scales each column by a slice of the same table
+    rows = np.random.default_rng(n_max).standard_normal((n_max - 2, 2))
+    assert np.array_equal(gs.inv_apply(range(3, n_max + 1), rows), rows * want[2:, None])
+    for bad in (range(0, 5), range(n_max - 1, n_max + 2), range(1, 9, 2), [1, 2, 3, 4]):
         with pytest.raises(ValueError):
-            gs.inv_scale(bad)
+            gs.inv_apply(bad, rows[:4])
+
+
+# Frozen before GammaSequence was trimmed to what its callers read: n0, both
+# jump diagnostics by repr, and SHA-256 of the bytes of ``inv_scales`` and (for
+# d = 1) ``sqrt_feller_bn`` at n_max = 123457, past the exact region and not a
+# checkpoint.
+GAMMA_ORACLE = [
+    (M.gaussian_iso(2), T.sqrt_n(), 15, "0.008296265552217491", "0.008296265552217491",
+     "a74a5b85ee122fbae62b2c0756f40c200cef1f175e1f03d8bb92920badec6570",
+     None),
+    (M.gaussian_iso(2), T.sqrt_n_invLL5(), 1, "1329.3955047252089", "1818.1379797314942",
+     "5fa2a68995871d68551b2ac3a42290a587bab67f6dd509739c55b77d0183c9ee",
+     None),
+    (M.uniform_cube(2), T.sqrt_n(), 6, "0.0", "0.0",
+     "24468fc8264baec1cf25d4cda354108c80375aa4608f4e05e6f87471554dbe46",
+     None),
+    (M.uniform_cube(2), T.sqrt_n_invLL5(), 1, "1682.6422755072927", "1804.9893177815527",
+     "2426b626307173066ad86ee7f5d27294ece8124269cff7067c2b521fd9e17a17",
+     None),
+    (M.atom_ladder(0.5, 2, d=1), T.sqrt_n(), 3, "0.00013035452800220837", "0.0039289987704025",
+     "0019d7fea9f31d7566b7a1cc17f01e3d27f521b8464bb564d5d5fbcba457c597",
+     "93578cbfb079bcc937ab63964796134eb8990f4ba9070834497896473e1d1a23"),
+    (M.atom_ladder(0.5, 2, d=1), T.sqrt_n_invLL5(), 4094,
+     "0.00013035452800220837", "0.0039289987704025",
+     "0019d7fea9f31d7566b7a1cc17f01e3d27f521b8464bb564d5d5fbcba457c597",
+     "e2a8b26f8171d63ac66b8a7dde35ad582fe069d4a17c963143012969bdfc5210"),
+    (M.rademacher_product(1), T.sqrt_n(), 1, "0.0", "0.0",
+     "24468fc8264baec1cf25d4cda354108c80375aa4608f4e05e6f87471554dbe46",
+     "9fcf98f8a2f335f8e0ef0e8056937804ed9f754cdcc9b0f65db1f3eaa080fce3"),
+    (M.rademacher_product(1), T.sqrt_n_invLL5(), 1, "0.0", "0.0",
+     "24468fc8264baec1cf25d4cda354108c80375aa4608f4e05e6f87471554dbe46",
+     "9fcf98f8a2f335f8e0ef0e8056937804ed9f754cdcc9b0f65db1f3eaa080fce3"),
+]
+
+
+@pytest.mark.parametrize(
+    "law, scheme, n0, jump_residual, jump_horizon_sup, inv_sha, feller_sha", GAMMA_ORACLE
+)
+def test_gamma_sequence_frozen_oracle(
+    law, scheme, n0, jump_residual, jump_horizon_sup, inv_sha, feller_sha
+):
+    gs = T.GammaSequence(law, scheme, 123457)
+    assert gs.n0 == n0
+    assert repr(gs.jump_residual) == jump_residual
+    assert repr(gs.jump_horizon_sup) == jump_horizon_sup
+    assert hashlib.sha256(gs.inv_scales.tobytes()).hexdigest() == inv_sha
+    if feller_sha is not None:
+        assert hashlib.sha256(gs.sqrt_feller_bn.tobytes()).hexdigest() == feller_sha
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -370,16 +425,17 @@ def test_scaled_identity_matches_from_array(d, value):
 def test_gamma_bounds_and_errors():
     gs = T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 100)
     with pytest.raises(ValueError):
-        gs.inv_scale([0])
+        gs.inv_apply(range(0, 1), np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        gs.inv_scale([101])
-    with pytest.raises(ValueError):
-        gs.inv_apply([101], np.zeros((1, 1)))
+        gs.inv_apply(range(101, 102), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 0)
-    # forcing n0 = 1 on rademacher d=2 leaves Gamma_1 singular: loud failure
-    with pytest.raises(NearSingularError):
-        T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 100, n0=1)
+    # the (LL n)^-5 level without its monotonicity floor dips below
+    # rademacher d=2's |X| = sqrt(2) at n = 58, past the default n0 = 2, so
+    # Gamma_58 is singular: loud failure
+    raw = T.TruncationScheme(family="sqrt_n_invLL5", n0=1)
+    with pytest.raises(NearSingularError, match="Gamma_58 has eigenvalue 0 "):
+        T.GammaSequence(M.rademacher_product(2), raw, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ class _ScaledGamma:
         return np.full(self.n_max, 1.0 / self._lam)
 
     @property
-    def feller_bn(self):
-        return feller_bn_prefix(self.law, self.scheme, self.n_max)
+    def sqrt_feller_bn(self):
+        return np.sqrt(feller_bn_prefix(self.law, self.scheme, self.n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_streaming_matches_two_pass(mode):
         ratios = np.linalg.norm(s, axis=1) / np.sqrt(ks)
         gs_arg = None
     else:
-        ratios = np.linalg.norm(gs.inv_apply(ks, s), axis=1) / np.sqrt(ks)
+        ratios = np.linalg.norm(gs.inv_apply(range(1, n + 1), s), axis=1) / np.sqrt(ks)
         gs_arg = gs
     i = int(np.argmax(ratios))
     norm = normalizers(n, 2)
@@ -202,16 +202,19 @@ def test_multiblock_frozen_oracle(mode, law, seed, value, argmax_k, max_ratio, n
 
 def _every_row(traj, gs, mode):
     """(max_ratio, argmax_k) with every row's ratio evaluated, block by block,
-    from per-block index arrays and gathered normalizers."""
+    from per-block index arrays and normalizers gathered independently of
+    ``inv_apply`` and ``sqrt_feller_bn``."""
     best, best_k = -np.inf, 1
+    bn = feller_bn_prefix(gs.law, gs.scheme, gs.n_max) if mode == "feller" else None
     for off, rows in walkstats._scan(traj):
         ks = np.arange(off + 1, off + len(rows) + 1)
         if mode == "classical":
             ratios = walkstats._row_norm(rows) / np.sqrt(ks)
         elif mode == "self_normalized":
-            ratios = walkstats._row_norm(gs.inv_apply(ks, rows)) / np.sqrt(ks)
+            scaled = rows * gs.inv_scales.take(ks - 1)[:, None]
+            ratios = walkstats._row_norm(scaled) / np.sqrt(ks)
         else:
-            ratios = np.abs(rows[:, 0]) / np.sqrt(gs.feller_bn.take(ks - 1))
+            ratios = np.abs(rows[:, 0]) / np.sqrt(bn.take(ks - 1))
         i = int(np.argmax(ratios))
         if ratios[i] > best:
             best, best_k = float(ratios[i]), int(ks[i])
