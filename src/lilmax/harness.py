@@ -20,7 +20,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -193,14 +193,21 @@ def reference_from_parser(
 
     The reference shares the horizon, replication count, mode, and dimension
     of the base experiment unless it overrides them, and it must carry its
-    own master seed so the two samples are independent.
+    own master seed so the two samples are independent.  Without a
+    [reference.law] section it takes the base law's family at its own d.
     """
     sec = _section_mapping(cp, "reference")
     if sec is None:
         return None
     d = _get_int(sec, "d", base.d)
     law_map = _section_mapping(cp, "reference.law")
-    law = _build_law(law_map, sec, "reference", d) if law_map is not None else base.law
+    if law_map is not None:
+        law = _build_law(law_map, sec, "reference", d)
+    else:
+        try:
+            law = replace(base.law, d=d)
+        except ValueError as exc:
+            raise ConfigError(f"bad [reference] d: {exc}") from exc
     if cp.has_section("reference.scheme"):
         scheme = _build_scheme(_section_mapping(cp, "reference.scheme"))
     else:

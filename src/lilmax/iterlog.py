@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,11 +60,14 @@ class NormalizerSet:
     b_dn: float
 
 
+@lru_cache(maxsize=64)
 def normalizers(n, d: int) -> NormalizerSet:
     """Normalizers at horizon n in dimension d.
 
     a_n = sqrt(2 LL n);  b_dn = 2 LL n + (d/2) LLL n - log Gamma(d/2).
-    n may be any real >= 1 (the formulas are evaluated pointwise).
+    n may be any real >= 1 (the formulas are evaluated pointwise).  Cached
+    by (n, d), so an experiment computes its pair once, not once per
+    replication.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")

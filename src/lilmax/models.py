@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfc, gammainc, gammaincc
@@ -502,20 +503,37 @@ def _sample_directions(law: IncrementLaw, rng: np.random.Generator, m: int) -> n
     return out
 
 
-def sample(law: IncrementLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample(
+    law: IncrementLaw, rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Draw `size` iid increments as a (size, d) array.
 
     The stream consumption pattern per call is fixed by (family, d, size), so
-    a replayed generator reproduces draws exactly.
+    a replayed generator reproduces draws exactly.  ``out``, a C-ordered
+    float64 (size, d) array, receives the draws and is returned.  Filling it
+    gives the bits of a call without it and leaves the generator in the same
+    state: the Gaussian draws straight into it, the cube scales ``random`` in
+    place (``uniform`` computes -sqrt(3) + 2 sqrt(3) U in the same two
+    roundings), Rademacher's signs are exactly +-1 however they are
+    converted, and the ladders write their last step into it.
     """
     d = law.d
     fam = law.family
+    if out is None:
+        out = np.empty((size, d))
+    elif out.shape != (size, d):
+        raise ValueError(f"out has shape {out.shape}, expected {(size, d)}")
     if fam == "gaussian_iso":
-        return rng.standard_normal((size, d))
+        return rng.standard_normal(out=out)
     if fam == "rademacher_product":
-        return rng.integers(0, 2, size=(size, d)).astype(float) * 2.0 - 1.0
+        np.multiply(rng.integers(0, 2, size=(size, d)), 2.0, out=out)
+        out -= 1.0
+        return out
     if fam == "uniform_cube":
-        return rng.uniform(-_CUBE_HALF, _CUBE_HALF, size=(size, d))
+        rng.random(out=out)
+        out *= 2.0 * _CUBE_HALF
+        out -= _CUBE_HALF
+        return out
     lad = _ladder_data(law)
     # category: core below p_core, then rungs in order
     v = rng.random(size)
@@ -526,8 +544,10 @@ def sample(law: IncrementLaw, rng: np.random.Generator, size: int) -> np.ndarray
         j = np.searchsorted(cuts, v[rung], side="right")  # rung k0 + j
         radii[rung] = lad.levels[np.minimum(j, len(lad.levels) - 1)]  # last-ulp gap of cuts
     if d == 1:
-        return np.where(rng.random(size) < 0.5, -radii, radii)[:, None]
-    return radii[:, None] * _sample_directions(law, rng, size)
+        out[:, 0] = np.where(rng.random(size) < 0.5, -radii, radii)
+    else:
+        np.multiply(radii[:, None], _sample_directions(law, rng, size), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

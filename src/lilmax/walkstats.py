@@ -19,6 +19,17 @@ right below d = 8) without its temporaries.  Output bytes therefore depend
 on numpy's reduction order as well as its generator streams; tests pin
 both assumptions.
 
+The scan allocates nothing per block.  ``sample`` draws into a (BLOCK, d)
+buffer and the cumulative sum goes to a second one; the pair is checked out
+of a per-thread pool for the life of the scan and returned when it ends, so
+replications reuse warm pages and two scans open in one thread never share
+a buffer.  For d >= 2 the cumulative sum and the carry add run over adjacent
+column pairs viewed as complex128 (an odd last column stays a float
+column).  A complex add is two independent IEEE adds, and an accumulation
+is sequential along axis 0 whatever the layout, so every partial sum keeps
+the bits of ``np.cumsum(block, axis=0)`` plus the carry column by column;
+pairing only lets the two columns' dependency chains overlap.
+
 Statistic modes
 ---------------
 * ``classical``:        a_n * max_{1<=k<=n} |S_k| / sqrt(k)            - b_{d,n}
@@ -103,6 +114,7 @@ the upper range check each necessary.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -182,28 +194,69 @@ def _scan(traj: Trajectory):
     """Yield (off, S_rows) block by block, where row i of S_rows is S_{off+i+1}.
 
     S_rows is the block's one cumulative sum with the Neumaier-compensated
-    total carried from earlier blocks added in place.  Every block reuses
-    one buffer, so S_rows is valid only until the next block is drawn; this
-    saves faulting in a fresh half-megabyte array per block.
+    total carried from earlier blocks added in place.  The draws and the
+    sums go to a buffer pair checked out of this thread's pool for the life
+    of the scan, so S_rows is valid only until the next block is drawn.
     """
+    d = traj.law.d
     rng = None if traj.increments is not None else np.random.default_rng(traj.seed)
-    total = np.zeros(traj.law.d)
-    comp = np.zeros(traj.law.d)
-    buf = np.empty((min(BLOCK, traj.n), traj.law.d))
-    for off in range(0, traj.n, BLOCK):
-        m = min(BLOCK, traj.n - off)
-        block = sample(traj.law, rng, m) if rng is not None else traj.increments[off : off + m]
-        rows = np.cumsum(block, axis=0, out=buf[:m])
-        block_sum = _block_sum(block, rows)
-        del block  # only the cumsum buffer stays alive while the reducer runs
-        # column by column: a broadcast over rows of length d is several times slower
-        for j, c in enumerate(total + comp):
-            rows[:, j] += c
-        yield off, rows
-        t = total + block_sum
-        big = np.abs(total) >= np.abs(block_sum)
-        comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
-        total = t
+    total = np.zeros(d)
+    comp = np.zeros(d)
+    free = _buffers.free.setdefault(d, [])
+    draws, sums = free.pop() if free else (np.empty((BLOCK, d)), np.empty((BLOCK, d)))
+    try:
+        for off in range(0, traj.n, BLOCK):
+            m = min(BLOCK, traj.n - off)
+            if rng is None:
+                block = traj.increments[off : off + m]
+            else:
+                block = sample(traj.law, rng, m, out=draws[:m])
+            rows = sums[:m]
+            views = _column_pairs(rows)
+            for src, dst in zip(_column_pairs(block), views):
+                np.cumsum(src, axis=0, out=dst)
+            block_sum = _block_sum(block, rows)
+            # column by column: a broadcast over rows of length d is several times slower
+            for dst, c in zip(views, _column_pairs((total + comp)[None, :])):
+                for j, z in enumerate(c[0]):
+                    dst[:, j] += z
+            yield off, rows
+            t = total + block_sum
+            big = np.abs(total) >= np.abs(block_sum)
+            comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
+            total = t
+    finally:
+        free.append((draws, sums))
+
+
+class _BufferPool(threading.local):
+    """This thread's free (draws, sums) pairs of (BLOCK, d) arrays, by d.  A
+    scan pops a pair and pushes it back when it ends, so scans open at the
+    same time in one thread never share one."""
+
+    def __init__(self):
+        self.free: dict[int, list] = {}
+
+
+_buffers = _BufferPool()
+
+
+def _column_pairs(x: np.ndarray) -> list:
+    """Views that cover the columns of a float64 (m, d) array whose rows are
+    contiguous: a lone column as itself, otherwise adjacent column pairs as
+    one complex128 column each, plus an odd last column.
+
+    A complex add is two independent IEEE adds, so a cumulative sum or an
+    added constant over a paired view has the bits of the same operation
+    column by column, while the two columns' dependency chains overlap.
+    """
+    d = x.shape[1]
+    if d == 1:
+        return [x]
+    views = [x[:, : d - d % 2].view(np.complex128)]
+    if d % 2:
+        views.append(x[:, d - 1 :])
+    return views
 
 
 def _block_sum(block: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -43,15 +43,20 @@ def test_child_names_resolve():
 def test_patched_names_are_reached(monkeypatch):
     """A seeded self-normalized walk draws through ``walkstats.sample`` and
     normalizes through ``GammaSequence.inv_apply``, so spans land on both.
+    Each draw returns its (m, d) block, which the ``models.sample`` span is
+    sized from.
 
     ``inv_apply`` runs once per chunk the pruning bound cannot skip: on this
     walk only the first of nine chunks."""
     calls = {"sample": 0, "inv_apply": 0}
+    shapes = []
     sample, inv_apply = walkstats.sample, GammaSequence.inv_apply
 
-    def counted_sample(*args):
+    def counted_sample(*args, **kwargs):
         calls["sample"] += 1
-        return sample(*args)
+        out = sample(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
 
     def counted_inv_apply(self, *args):
         calls["inv_apply"] += 1
@@ -66,3 +71,4 @@ def test_patched_names_are_reached(monkeypatch):
     )
     assert np.isfinite(rec.value)
     assert calls == {"sample": 2, "inv_apply": 1}
+    assert shapes == [(walkstats.BLOCK, 2), (10, 2)]

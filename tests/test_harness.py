@@ -171,6 +171,27 @@ def test_config_reference_needs_distinct_seed(tmp_path):
         reference_from_parser(cp, cfg)
 
 
+def test_config_reference_d_without_law_section(tmp_path):
+    """A [reference] d with no [reference.law] builds the experiment's law
+    family at that d: the reference runs, and is summarized, in d = 2."""
+    text = BASIC_INI.replace("[reference.law]\nfamily = gaussian_iso\n", "")
+    text = text.replace("n = 4000\nreplications = 6", "n = 300\nreplications = 3")
+    text = text.replace("master_seed = 456\n", "master_seed = 456\nd = 2\n")
+    path = tmp_path / "demo.ini"
+    path.write_text(text, encoding="utf-8")
+    cp = load_config_parser(str(path))
+    cfg = experiment_from_parser(cp)
+    ref = reference_from_parser(cp, cfg)
+    assert cfg.law == rademacher_product(1)
+    assert ref.law == rademacher_product(2)
+    records, _ = run_and_persist(ref, str(tmp_path / "out"), gumbel=GumbelLaw())
+    assert {r.d for r in records} == {2}
+    lines = (tmp_path / "out" / "summary.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["d"] == 2
+    with pytest.raises(ConfigError, match=r"\[reference\] d"):
+        reference_from_parser(load_config_parser(str(path), ["reference.d=9"]), cfg)
+
+
 def test_config_dataclass_validation():
     with pytest.raises(ConfigError, match="name"):
         _cfg(name="bad name")

@@ -286,6 +286,46 @@ def test_rng_fill_out_matches_allocating_draw(method, d):
     assert fresh.bit_generator.state == reused.bit_generator.state
 
 
+# The expression each product family drew with before it could fill a buffer.
+ALLOCATING_DRAWS = {
+    "gaussian_iso": lambda rng, shape: rng.standard_normal(shape),
+    "uniform_cube": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape),
+    "rademacher_product": lambda rng, shape: rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ALLOCATING_DRAWS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [BLOCK, 1696])
+def test_sample_into_buffer_matches_allocating_draw(family, d, m):
+    """``sample(..., out=buf)`` returns ``buf`` holding the bytes of the
+    allocating call, which are those of the family's one-expression draw, and
+    leaves the generator in the same state; reusing a dirty buffer is fine."""
+    law = M.IncrementLaw(family=family, d=d)
+    rngs = [np.random.default_rng(4549 + m) for _ in range(3)]
+    buf = np.full((m, d), np.nan)
+    for _ in range(2):
+        want = ALLOCATING_DRAWS[family](rngs[0], (m, d))
+        fresh = M.sample(law, rngs[1], m)
+        got = M.sample(law, rngs[2], m, out=buf)
+        assert got is buf
+        assert fresh.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("law", [M.atom_ladder(k0=1), M.atom_ladder_fat(k0=1, d=2)], ids=M.law_id)
+def test_ladder_sample_into_buffer(law):
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    buf = np.empty((40000, law.d))
+    want = M.sample(law, rngs[0], 40000)
+    assert M.sample(law, rngs[1], 40000, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    with pytest.raises(ValueError, match="shape"):
+        M.sample(law, rngs[1], 40001, out=buf)
+
+
 # (law, draws with |X| above the core radius, sha256 of the float64 bytes) for
 # seeds 0, 1, 2, each drawing 40000 then 1001 rows; k0 = 1 makes rungs occur.
 LADDER_DIGESTS = [

@@ -7,13 +7,16 @@ every floating-point operation.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lilmax.iterlog import normalizers
+from lilmax.iterlog import iterlog, normalizers
 from lilmax.models import gaussian_iso, law_id, rademacher_product, sample, uniform_cube
 from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
 from lilmax import walkstats
@@ -92,6 +95,17 @@ def test_value_formula_consistency():
 # ---------------------------------------------------------------------------
 # de_statistic: invariants
 # ---------------------------------------------------------------------------
+
+
+def test_normalizers_cached_per_horizon_and_dimension():
+    """Replications of one experiment share one (a_n, b_dn) pair, computed
+    once per (n, d) with the bits of the formulas."""
+    for n, d in ((100_000, 2), (10**7, 1), (3, 8)):
+        got = normalizers(n, d)
+        assert normalizers(n, d) is got
+        ll, lll = iterlog(n, 2), iterlog(n, 3)
+        assert got.a_n == math.sqrt(2.0 * ll)
+        assert got.b_dn == 2.0 * ll + 0.5 * d * lll - math.lgamma(0.5 * d)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -388,6 +402,117 @@ def test_block_sum_rule_matches_sum_bitwise(d, m):
     block = np.random.default_rng(m + d).standard_normal((m, d))
     got = walkstats._block_sum(block, np.cumsum(block, axis=0))
     assert np.array_equal(got.view(np.int64), block.sum(axis=0).view(np.int64))
+
+
+def _float_scan(x):
+    """The scan column by column in float64: each block's ``np.cumsum(axis=0)``
+    plus the Neumaier-compensated carry, and the largest compensation seen."""
+    d = x.shape[1]
+    total, comp, out, most = np.zeros(d), np.zeros(d), [], 0.0
+    for off in range(0, len(x), BLOCK):
+        block = x[off : off + BLOCK]
+        rows = np.cumsum(block, axis=0)
+        block_sum = block.sum(axis=0)
+        for j, c in enumerate(total + comp):
+            rows[:, j] += c
+        out.append(rows)
+        t = total + block_sum
+        big = np.abs(total) >= np.abs(block_sum)
+        comp += np.where(big, (total - t) + block_sum, (block_sum - t) + total)
+        total = t
+        most = max(most, float(np.abs(comp).max()))
+    return np.concatenate(out), most
+
+
+def _scanned(traj):
+    return np.concatenate([rows.copy() for _, rows in walkstats._scan(traj)])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 3 * BLOCK + 7])
+def test_paired_scan_matches_float_path_bitwise(d, n):
+    """Summing adjacent columns as complex128 keeps every partial sum's bits:
+    on explicit increments of mixed magnitudes, whose carry compensation is
+    nonzero past one block, and on a seeded walk, whose blocks are drawn into
+    the pooled buffer."""
+    rng = np.random.default_rng(1000 * d + n)
+    x = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30.0, 30.0, (n, d)))
+    want, most = _float_scan(x)
+    assert (most > 0.0) == (n > BLOCK)
+    assert _scanned(from_increments(gaussian_iso(d), x)).tobytes() == want.tobytes()
+
+    law = uniform_cube(d)
+    draws = np.random.default_rng(d)
+    x = np.concatenate(
+        [sample(law, draws, min(BLOCK, n - off)) for off in range(0, n, BLOCK)]
+    )
+    assert _scanned(trajectory(law, n, d)).tobytes() == _float_scan(x)[0].tobytes()
+
+
+def test_interleaved_scans_do_not_share_buffers():
+    """Two scans open at once in one thread check out separate buffers, so
+    stepping them in lockstep yields the rows each yields alone."""
+    law = gaussian_iso(2)
+    n = 2 * BLOCK + 5
+    t1, t2 = trajectory(law, n, 1), trajectory(law, n, 2)
+    alone1 = [(off, rows.copy()) for off, rows in walkstats._scan(t1)]
+    alone2 = [(off, rows.copy()) for off, rows in walkstats._scan(t2)]
+    steps = 0
+    # rows are valid only until their scan's next block, so compare in the loop
+    for ((o1, r1), (o2, r2)), (a1, w1), (a2, w2) in zip(
+        zip(walkstats._scan(t1), walkstats._scan(t2)), alone1, alone2
+    ):
+        assert o1 == o2 == a1 == a2
+        assert r1.tobytes() == w1.tobytes()
+        assert r2.tobytes() == w2.tobytes()
+        steps += 1
+    assert steps == len(alone1) == len(alone2) == 3
+    assert not np.array_equal(alone1[0][1], alone2[0][1])
+
+
+def test_threads_scan_with_their_own_buffers():
+    """Each thread draws into its own pooled buffers: with more threads than
+    cores and frequent switches, every record equals the one-thread record."""
+    law = uniform_cube(2)
+    n = BLOCK + 10
+    gs = GammaSequence(law, sqrt_n(), n)
+    want = [de_statistic(trajectory(law, n, s), gs, "self_normalized") for s in range(8)]
+    got = {}
+
+    def work(t):
+        for s in range(t, 8, 4):
+            got[s] = de_statistic(trajectory(law, n, s), gs, "self_normalized")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert [got[s] for s in range(8)] == want
+
+
+def test_warm_replication_allocates_no_blocks():
+    """Once a thread has scanned, a seeded d = 2 replication at n = 10^5
+    reuses its pooled draw and cumsum buffers: what it traces is the
+    reducer's per-block norms, not two fresh (BLOCK, 2) arrays per block
+    (which took its peak to about 1.35 MB)."""
+    law = uniform_cube(2)
+    n = 100_000
+    gs = GammaSequence(law, sqrt_n(), n)
+    de_statistic(trajectory(law, n, 1), gs, "self_normalized")
+    tracemalloc.start()
+    try:
+        de_statistic(trajectory(law, n, 2), gs, "self_normalized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_multiblock_carry_and_tie_break():
