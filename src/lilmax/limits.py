@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .iterlog import _log_chain
 from .models import _GL_NODES, _GL_WEIGHTS, gaussian_iso, prob_tail
@@ -98,8 +97,14 @@ class PhiFamily:
 
     def squared(self, t):
         t = np.asarray(t, dtype=float)
-        _, ll, lll, llll = _log_chain(t, 4)
-        r = 2.0 * ll + self.a * lll + self.b * llll
+        _, ll = _log_chain(t, 2)
+        if np.all(ll <= math.e):
+            # below t = e^(e^e) ~ 3.81e6 both outer logs floor to log(e),
+            # which is exactly 1.0, so this has the bits of the full form
+            r = 2.0 * ll + self.a + self.b
+        else:
+            lll, llll = _log_chain(ll, 2)
+            r = 2.0 * ll + self.a * lll + self.b * llll
         if np.any(r < 0.0):
             bad = np.asarray(t)[np.asarray(r) < 0.0]
             raise ValueError(
@@ -251,6 +256,8 @@ def aniso_chisq_density_ratio(sigma: float, z_grid) -> DensityRatioReport:
     so ratio(z) = sqrt(pi/2) (sqrt(z)/sigma) i0e(beta z / 4), where the
     exponentially scaled i0e(x) = e^{-x} I0(x) cannot overflow.
     """
+    from scipy.special import i0e
+
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must be inside (0, 1)")
     z = np.asarray(z_grid, dtype=float)

@@ -36,10 +36,13 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaincc
 
 from .iterlog import iterlog
 from .psdmat import MAX_DIM
+
+# Special functions load on first use: scipy.special costs every process
+# about 0.2 s at import, and the classical statistic never calls it.  Each
+# function below that needs one imports it in its body.
 
 FAMILIES = (
     "gaussian_iso",
@@ -385,6 +388,8 @@ def _gauss_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
     # that agree to machine precision once t < 1e-5, leaving rounding noise
     # that is not monotone in t; the incomplete gamma has no subtraction, so
     # every dimension routes through it.  t^2/2 overflowing to inf gives 1.
+    from scipy.special import gammainc
+
     with np.errstate(over="ignore"):
         return gammainc(0.5 * (d + 2), 0.5 * t * t)
 
@@ -392,6 +397,8 @@ def _gauss_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
 def _gauss_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
     """P{|X| > t} = Q(d/2, t^2/2); d = 1 takes erfc, which is closer to the
     exact folded normal tail than Q(1/2, .) is."""
+    from scipy.special import erfc, gammaincc
+
     if d == 1:
         return erfc(t / math.sqrt(2.0))
     with np.errstate(over="ignore"):

@@ -326,6 +326,9 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
             if ratios[i] > best:
                 best = float(ratios[i])
                 best_k = a + i + 1
+        # drop this block's norms, and num, which may view them, before
+        # _row_norm builds the next block's (a pruned block binds no num)
+        norms = num = None
     return best, best_k
 
 

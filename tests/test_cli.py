@@ -14,6 +14,7 @@ import pytest
 
 import lilmax
 from lilmax.cli import main, shift_driver_table
+from lilmax.limits import aniso_chisq_density_ratio
 from lilmax.models import atom_ladder
 
 GAUSS_INI = """\
@@ -416,16 +417,55 @@ print("scipy.interpolate" in sys.modules)
 """
 
 
+SPECIAL_PROBE = """\
+import sys
+import lilmax.cli
+from lilmax.harness import ExperimentConfig, run_experiment
+from lilmax.models import gaussian_iso, radial_profile
+cfg = ExperimentConfig(
+    name="probe", law=gaussian_iso(1), scheme=None, mode="classical",
+    n=5000, replications=3, master_seed=7,
+)
+run_experiment(cfg)
+print("scipy.special" in sys.modules)
+radial_profile(gaussian_iso(2), [0.5, 2.0])
+print("scipy.special" in sys.modules)
+"""
+
+RATIO_PROBE = """\
+import sys
+from lilmax.limits import aniso_chisq_density_ratio
+print("scipy.special" in sys.modules)
+print(repr(aniso_chisq_density_ratio(0.5, [10.0, 20.0]).max_ratio))
+"""
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(lilmax.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # scipy.interpolate alone pulls in optimize, sparse, spatial and linalg,
     # about a third of a second per process; only cube laws with d >= 4
     # need it, and they load it on first use
-    src = os.path.dirname(os.path.dirname(lilmax.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    out = _fresh_python(IMPORT_PROBE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "False", "True"]
+
+
+def test_special_functions_load_on_first_use():
+    # scipy.special costs about 0.2 s per process; the classical statistic
+    # calls no special function, so a classical run never loads it
+    out = _fresh_python(SPECIAL_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", "True"]
+    out = _fresh_python(RATIO_PROBE)
+    assert out.returncode == 0, out.stderr
+    want = aniso_chisq_density_ratio(0.5, [10.0, 20.0]).max_ratio
+    assert out.stdout.splitlines() == ["False", repr(want)]

@@ -143,6 +143,43 @@ def test_phi_negative_radicand_rejected():
         phi(np.array([1e6, 20.0]))
 
 
+# LL(t) <= e, so LLL = LLLL = log(e) = 1.0 exactly, for t below e^(e^e)
+_LLL_FLOOR_END = 3_814_280.0
+
+
+def _phi_squared_four_logs(phi, t):
+    return 2.0 * iterlog(t, 2) + phi.a * iterlog(t, 3) + phi.b * iterlog(t, 4)
+
+
+@pytest.mark.parametrize("a", [-1.0, -0.0, 0.0, 0.5, 2.75])
+@pytest.mark.parametrize("b", [-0.75, 0.0, 1.5])
+def test_phi_squared_floor_shortcut_is_bit_exact(a, b):
+    """Below e^(e^e) squared() skips the two outer logs; it must keep the
+    bits of the four-log formula there, across the switch and above it."""
+    phi = PhiFamily(a=a, b=b, d=2)
+    below = np.concatenate([np.arange(1.0, 5000.0), np.geomspace(5000.0, 3_814_279.0, 997)])
+    straddling = np.arange(_LLL_FLOOR_END - 40.0, _LLL_FLOOR_END + 40.0, 0.25)
+    above = np.geomspace(_LLL_FLOOR_END, 1e300, 1001)
+    assert iterlog(_LLL_FLOOR_END - 1.0, 2) <= math.e < iterlog(_LLL_FLOOR_END, 2)
+    for ts in (below, straddling, above):
+        got = phi.squared(ts)
+        assert got.tobytes() == _phi_squared_four_logs(phi, ts).tobytes()
+    for t in (1.0, 2.5, 16.0, 1e6, _LLL_FLOOR_END - 1.0, _LLL_FLOOR_END, 1e9):
+        for arg in (t, np.float64(t), np.array(t)):
+            got = phi.squared(arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(_phi_squared_four_logs(phi, t)).tobytes()
+
+
+def test_phi_squared_negative_message_unchanged():
+    phi = PhiFamily(a=-10.0, b=0.0, d=1)
+    msg = "phi^2 is negative at t = 1.0: a = -10.0, b = 0.0 are too negative there"
+    for arg in (1.0, np.array([1.0, 3.0, 1e7])):
+        with pytest.raises(ValueError) as exc:
+            phi.squared(arg)
+        assert str(exc.value) == msg
+
+
 def test_phi_vectorized_and_validated():
     phi = PhiFamily(a=0.0, b=0.0, d=2)
     vals = phi(np.array([10.0, 1e4, 1e8]))

@@ -497,22 +497,45 @@ def test_threads_scan_with_their_own_buffers():
     assert [got[s] for s in range(8)] == want
 
 
+def _warm_replication(mode):
+    """Peak bytes traced by a warm seeded cube d = 2 replication at
+    n = 10^5, and its record."""
+    law = uniform_cube(2)
+    n = 100_000
+    gs = GammaSequence(law, sqrt_n(), n) if mode == "self_normalized" else None
+    de_statistic(trajectory(law, n, 1), gs, mode)
+    tracemalloc.start()
+    try:
+        rec = de_statistic(trajectory(law, n, 2), gs, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (rec.max_ratio, rec.argmax_k)
+
+
+# Gamma_k is the identity for the cube at sqrt_n, so both modes agree.
+WARM_RECORD = (1.7354616515589454, 481)
+
+
 def test_warm_replication_allocates_no_blocks():
     """Once a thread has scanned, a seeded d = 2 replication at n = 10^5
     reuses its pooled draw and cumsum buffers: what it traces is the
     reducer's per-block norms, not two fresh (BLOCK, 2) arrays per block
-    (which took its peak to about 1.35 MB)."""
-    law = uniform_cube(2)
-    n = 100_000
-    gs = GammaSequence(law, sqrt_n(), n)
-    de_statistic(trajectory(law, n, 1), gs, "self_normalized")
-    tracemalloc.start()
-    try:
-        de_statistic(trajectory(law, n, 2), gs, "self_normalized")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    (which took its peak to about 1.35 MB).  Each block's norms are freed
+    before the next block's are built (856 KB while they outlived it)."""
+    peak, rec = _warm_replication("self_normalized")
+    assert peak < 720_000
+    assert rec == WARM_RECORD
+
+
+def test_classical_reducer_releases_each_block_norms():
+    """In classical mode the chunk numerators are views of the block's
+    norms; they too are dropped before the next block's norms are built
+    (823 KB while the last view outlived its block, 1086 KB while the
+    norms themselves did)."""
+    peak, rec = _warm_replication("classical")
+    assert peak < 720_000
+    assert rec == WARM_RECORD
 
 
 def test_multiblock_carry_and_tie_break():
