@@ -1,0 +1,150 @@
+"""Output bytes of a parent revision against the working tree.
+
+    python3 scripts/csv_matrix.py [--parent REV]
+
+The parent revision (default ``HEAD``) is extracted with ``git archive`` into
+a temporary directory.  On each side, ``lilmax simulate`` runs 14 configs,
+each into its own output directory, at ``--seed 1608 --set
+experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
+in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
+``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference) and
+``gaussian_d1.ini`` at d = 3, 4, 7, 8, which write 21 CSVs.  ``lilmax
+shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
+``tightness_fat.ini`` run the same way.  Each side uses its own ``configs/``.
+
+Every run must exit 0 and match the parent in its CSV bytes, its standard
+output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  On the
+working tree, ``lilmax replay`` then re-executes one replication of each
+simulate config.  The script prints one line per run and exits 1 on any
+difference, failed run or replay mismatch.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, HERE)
+
+from bench_pairs import extract_revision  # noqa: E402
+
+RUN_TIMEOUT_S = 900
+COMMON = ["--seed", "1608", "--set", "experiment.replications=12"]
+REPLAY_INDEX = 11
+
+# (run name, subcommand, bundled config, extra --set overrides)
+SIMULATE = [
+    (name, "simulate", f"{name}.ini", [])
+    for name in ("gaussian_d1", "rademacher_d1_selfnorm", "shift_ladder", "tightness_fat")
+] + [
+    ("feller_d1", "simulate", "gaussian_d1.ini",
+     ["experiment.mode=feller", "experiment.scheme.family=sqrt_n"]),
+] + [
+    (f"cube_d{d}", "simulate", "rademacher_d1_selfnorm.ini",
+     ["experiment.law.family=uniform_cube", f"experiment.d={d}"])
+    for d in (2, 3, 4, 7, 8)
+] + [
+    (f"gauss_d{d}", "simulate", "gaussian_d1.ini", [f"experiment.d={d}"])
+    for d in (3, 4, 7, 8)
+]
+COMMANDS = [
+    ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
+    ("tightness_fat_cmd", "tightness-probe", "tightness_fat.ini", []),
+]
+
+
+def run_lilmax(tree: str, command: str, config: str, sets: list, out: str,
+           extra: tuple = ()) -> subprocess.CompletedProcess:
+    """``lilmax COMMAND`` from ``tree``'s own sources and configs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(tree, "src"), env.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "lilmax.cli", command,
+            "--config", os.path.join(tree, "configs", config), "--out", out, *COMMON]
+    for item in sets:
+        args += ["--set", item]
+    return subprocess.run(args + list(extra), cwd=tree, env=env, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S)
+
+
+def outputs(out: str) -> tuple[dict, list]:
+    """CSV bytes by file name, and the summary lines without runtimes."""
+    csvs = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                csvs[name] = fh.read()
+    summaries = []
+    with open(os.path.join(out, "summary.jsonl"), encoding="utf-8") as fh:
+        for line in fh:
+            record = json.loads(line)
+            record.pop("runtime_seconds", None)
+            summaries.append(record)
+    return csvs, summaries
+
+
+def compare(run: tuple, trees: dict, work: str) -> tuple[list, int]:
+    """Differences between the two sides' outputs of one run, and its CSV count."""
+    name, command, config, sets = run
+    seen = {}
+    for side, tree in trees.items():
+        out = os.path.join(work, side, name)
+        proc = run_lilmax(tree, command, config, sets, out)
+        if proc.returncode != 0:
+            return [f"{side} exited {proc.returncode}: {proc.stderr.strip()[-300:]}"], 0
+        seen[side] = (proc.stdout, *outputs(out))
+    (p_out, p_csv, p_sum), (c_out, c_csv, c_sum) = seen["parent"], seen["change"]
+    problems = []
+    if sorted(p_csv) != sorted(c_csv):
+        problems.append(f"CSV files {sorted(p_csv)} -> {sorted(c_csv)}")
+    problems += [f"{f} bytes differ" for f in sorted(p_csv) if f in c_csv and c_csv[f] != p_csv[f]]
+    if p_sum != c_sum:
+        problems.append("summary.jsonl differs beyond runtime_seconds")
+    if p_out != c_out:
+        problems.append("stdout differs")
+    return problems, len(c_csv)
+
+
+def replay(run: tuple, work: str) -> list:
+    """``lilmax replay`` of one replication against the working tree's CSV."""
+    name, _, config, sets = run
+    proc = run_lilmax(ROOT, "replay", config, sets, os.path.join(work, "change", name),
+                      ("--replication", str(REPLAY_INDEX)))
+    if proc.returncode == 0:
+        return []
+    said = (proc.stdout + proc.stderr).strip().splitlines()
+    return [f"replay {REPLAY_INDEX} exited {proc.returncode}: {said[0] if said else ''}"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    failures = 0
+    csv_total = 0
+    with tempfile.TemporaryDirectory(prefix="csv_matrix_") as tmp:
+        parent_rev = extract_revision(args.parent, tmp)
+        trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        print(f"parent {parent_rev}, change = working tree {ROOT}")
+        for run in SIMULATE + COMMANDS:
+            problems, n_csv = compare(run, trees, tmp)
+            if run in SIMULATE:
+                csv_total += n_csv
+                problems = problems or replay(run, tmp)
+            failures += bool(problems)
+            status = "; ".join(problems) if problems else f"same ({n_csv} CSVs)"
+            print(f"{'FAIL' if problems else 'ok'}  {run[0]:<24s} {status}", flush=True)
+    print(f"{len(SIMULATE)} simulate configs ({csv_total} CSVs) and {len(COMMANDS)} "
+          f"subcommand runs: {failures} with differences")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

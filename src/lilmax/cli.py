@@ -16,15 +16,16 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .harness import (
     ConfigError,
-    ECDF,
     ExperimentConfig,
     append_jsonl,
     apply_overrides,
@@ -35,12 +36,11 @@ from .harness import (
     record_row,
     reference_from_parser,
     replicate,
-    run_and_persist,
     run_experiment,
+    run_pair,
 )
 from .iterlog import normalizers
 from .limits import (
-    GumbelLaw,
     PhiFamily,
     aniso_chisq_density_ratio,
     chi_tail_envelope,
@@ -106,11 +106,27 @@ def _number(sec: dict, key: str, default, cast=float):
         raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from exc
 
 
-def _floats_csv(raw: str) -> list[float]:
+def _numbers(sec: dict, key: str, default, cast=float) -> list:
+    """The comma-separated list ``sec[key]``, each entry through ``cast``;
+    ``default`` when the key is absent.  The list must be nonempty and
+    every entry a finite number that ``cast`` accepts."""
+    raw = sec.get(key)
+    if raw is None:
+        return list(default)
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        if not values or not all(map(math.isfinite, values)):
+            raise ValueError("need a nonempty list of finite numbers")
+        return [cast(v) for v in values]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {raw!r}") from exc
+        raise ConfigError(f"key {key!r} must be a comma-separated number list "
+                          f"({exc}), got {raw!r}") from exc
+
+
+def _horizon(value: float) -> int:
+    if value < 1:
+        raise ValueError("horizons must be >= 1")
+    return int(value)
 
 
 def _out_dir(args) -> str:
@@ -123,10 +139,6 @@ def _emit(args, payload: dict) -> None:
     append_jsonl(payload, os.path.join(_out_dir(args), "summary.jsonl"))
 
 
-def _say(*parts) -> None:
-    print(" ".join(str(p) for p in parts))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -134,20 +146,12 @@ def _say(*parts) -> None:
 
 def cmd_simulate(args) -> int:
     cfg, ref = _experiment_pair(args)
-    out = _out_dir(args)
-    ref_ecdf = None
-    if ref is not None:
-        ref_records, ref_summary = run_and_persist(
-            ref, out, threads=args.threads, gumbel=GumbelLaw()
-        )
-        ref_ecdf = ECDF.from_records(ref_records)
-        _say(
+    ref_summary, summary = run_pair(cfg, ref, _out_dir(args), args.threads)
+    if ref_summary is not None:
+        print(
             f"reference {ref.name}: ks_gumbel={ref_summary['ks_gumbel']:.4f}",
             f"median={ref_summary['quantiles']['q50']:.4f}",
         )
-    _, summary = run_and_persist(
-        cfg, out, threads=args.threads, gumbel=GumbelLaw(), reference=ref_ecdf
-    )
     line = (
         f"experiment {cfg.name}: mode={cfg.mode} d={cfg.d} n={cfg.n} "
         f"R={cfg.replications} ks_gumbel={summary['ks_gumbel']:.4f} "
@@ -155,7 +159,7 @@ def cmd_simulate(args) -> int:
     )
     if "ks_two_sample" in summary:
         line += f" ks_two_sample={summary['ks_two_sample']:.4f}"
-    _say(line)
+    print(line)
     return 0
 
 
@@ -188,17 +192,14 @@ def cmd_shift_experiment(args) -> int:
     law_map = _section(cp, "experiment.law")
     if law_map.get("family") != "atom_ladder":
         raise ConfigError("shift-experiment requires an atom_ladder increment law")
-    c = float(law_map.get("c", 0.5))
-    out = _out_dir(args)
-
-    shift_sec = _section(cp, "shift")
-    grid = [int(v) for v in _floats_csv(shift_sec["n_grid"])] if "n_grid" in shift_sec else list(_DRIVER_GRID)
+    c = _number(law_map, "c", 0.5)
+    grid = _numbers(_section(cp, "shift"), "n_grid", _DRIVER_GRID, _horizon)
 
     if c == 0.0:
         rows = shift_driver_table(None, grid)
-        _say("degenerate c=0 ladder: driver is identically 0, skipping Monte Carlo")
+        print("degenerate c=0 ladder: driver is identically 0, skipping Monte Carlo")
         for row in rows:
-            _say(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
+            print(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
         _emit(args, {"command": "shift-experiment", "c": 0.0, "driver": rows})
         return 0
 
@@ -210,17 +211,11 @@ def cmd_shift_experiment(args) -> int:
         raise ConfigError("shift-experiment needs a [reference] section for the median comparison")
 
     rows = shift_driver_table(cfg.law, grid)
-    _say(f"shift driver for c={c} (target: driver -> c):")
+    print(f"shift driver for c={c} (target: driver -> c):")
     for row in rows:
-        _say(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
+        print(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
 
-    ref_records, ref_summary = run_and_persist(
-        ref, out, threads=args.threads, gumbel=GumbelLaw()
-    )
-    _, summary = run_and_persist(
-        cfg, out, threads=args.threads, gumbel=GumbelLaw(),
-        reference=ECDF.from_records(ref_records),
-    )
+    ref_summary, summary = run_pair(cfg, ref, _out_dir(args), args.threads)
     median = summary["quantiles"]["q50"]
     ref_median = ref_summary["quantiles"]["q50"]
     payload = {
@@ -233,7 +228,7 @@ def cmd_shift_experiment(args) -> int:
         "median_below_reference": bool(median < ref_median),
         "ks_two_sample": summary.get("ks_two_sample"),
     }
-    _say(
+    print(
         f"median={median:.4f} reference_median={ref_median:.4f} "
         f"gap={median - ref_median:+.4f} (downward shift expected)"
     )
@@ -255,13 +250,11 @@ def probe_exceedance(cfg: ExperimentConfig, horizons, y_grid, threads=1) -> list
     """Exceedance frequencies of the classical statistic at each horizon."""
     rows = []
     for i, horizon in enumerate(horizons):
-        sub = ExperimentConfig(
+        sub = replace(
+            cfg,
             name=f"{cfg.name}_h{int(horizon)}",
-            law=cfg.law,
-            scheme=cfg.scheme,
             mode="classical",
             n=int(horizon),
-            replications=cfg.replications,
             master_seed=_horizon_seed(cfg.master_seed, i),
         )
         values = np.array([r.value for r in run_experiment(sub, threads=threads)])
@@ -282,28 +275,22 @@ def cmd_tightness_probe(args) -> int:
         )
     cfg = experiment_from_parser(cp)
     probe_sec = _section(cp, "probe")
-    horizons = (
-        [int(v) for v in _floats_csv(probe_sec["horizons"])]
-        if "horizons" in probe_sec
-        else list(_PROBE_HORIZONS)
-    )
-    y_grid = (
-        _floats_csv(probe_sec["y_grid"]) if "y_grid" in probe_sec else list(_PROBE_Y)
-    )
+    horizons = _numbers(probe_sec, "horizons", _PROBE_HORIZONS, _horizon)
+    y_grid = _numbers(probe_sec, "y_grid", _PROBE_Y)
     rows = probe_exceedance(cfg, horizons, y_grid, threads=args.threads)
-    _say(f"exceedance frequencies of the centered max, R={cfg.replications}:")
+    print(f"exceedance frequencies of the centered max, R={cfg.replications}:")
     header = "  ".join(f"P(>{y:g})" for y in y_grid)
-    _say(f"  {'n':>10s}  {'median':>8s}  {header}")
+    print(f"  {'n':>10s}  {'median':>8s}  {header}")
     for row in rows:
         cells = "  ".join(f"{row['frequencies'][str(y)]:.4f}" for y in y_grid)
-        _say(f"  {row['n']:>10d}  {row['median']:>8.3f}  {cells}")
+        print(f"  {row['n']:>10d}  {row['median']:>8.3f}  {cells}")
     drift = rows[-1]["median"] < rows[0]["median"]
-    _say(
+    print(
         "mass drifts downward across horizons (median falls)"
         if drift
         else "no downward median drift at these horizons"
     )
-    _say("qualitative probe only: no pass/fail judgement is made")
+    print("qualitative probe only: no pass/fail judgement is made")
     _emit(
         args,
         {
@@ -339,14 +326,14 @@ def cmd_integral_test(args) -> int:
     verdict = integral_test_classify(phi)
     probe = integral_test_partial_sums(phi, n_max=n_max)
     agree = "PASS" if probe.verdict == verdict else "FAIL"
-    _say(f"boundary {phi.label()}")
-    _say(f"  classifier: {verdict}")
-    _say(
+    print(f"boundary {phi.label()}")
+    print(f"  classifier: {verdict}")
+    print(
         f"  probe:      {probe.verdict} "
         f"(slope_linear={probe.slope_linear:+.3f}, slope_loglog={probe.slope_loglog:+.3f}, "
         f"tail_increment={probe.tail_increment:.3e})"
     )
-    _say(f"  agreement:  {agree}")
+    print(f"  agreement:  {agree}")
     _emit(
         args,
         {
@@ -379,11 +366,7 @@ def cmd_integral_test(args) -> int:
 def cmd_tail_bounds(args) -> int:
     cp = _parser_from_args(args)
     sec = _section(cp, "tails")
-    sigmas = (
-        _floats_csv(sec["sigmas"])
-        if "sigmas" in sec
-        else [round(0.1 * j, 1) for j in range(1, 10)]
-    )
+    sigmas = _numbers(sec, "sigmas", [round(0.1 * j, 1) for j in range(1, 10)])
     if not all(0.0 < sigma < 1.0 for sigma in sigmas):
         raise ConfigError(f"tails.sigmas must lie in (0, 1), got {sec['sigmas']!r}")
     checks = []
@@ -432,7 +415,7 @@ def cmd_tail_bounds(args) -> int:
         detail = ", ".join(
             f"{k}={v:.6g}" for k, v in c.items() if k not in ("check", "result")
         )
-        _say(f"  {c['check']:<{width}s}  {c['result']}  ({detail})")
+        print(f"  {c['check']:<{width}s}  {c['result']}  ({detail})")
     _emit(args, {"command": "tail-bounds", "checks": checks})
     return 0
 
@@ -461,7 +444,7 @@ def cmd_validate(args) -> int:
     for name, sch in schemes.items():
         rep = validate_growth_window(sch, n_grid)
         rows.append({"check": f"growth window {name}", "result": rep.verdict})
-        _say(f"  growth window {name:<24s} {rep.verdict}")
+        print(f"  growth window {name:<24s} {rep.verdict}")
     for which in ("small_o", "big_O"):
         rep = validate_tail_condition(law, which, t_grid)
         rows.append(
@@ -471,7 +454,7 @@ def cmd_validate(args) -> int:
                 "limit_estimate": rep.limit_estimate,
             }
         )
-        _say(
+        print(
             f"  tail condition {which:<8s} {rep.law:<28s} {rep.verdict} "
             f"(limit estimate {rep.limit_estimate:.4g})"
         )
@@ -500,11 +483,11 @@ def cmd_replay(args) -> int:
         ("replication_index", "mode", "value", "argmax_k", "n", "d", "seed")
     )
     if fresh == stored:
-        _say(f"replay OK: replication {index} of {cfg.name} reproduces bit for bit")
+        print(f"replay OK: replication {index} of {cfg.name} reproduces bit for bit")
         return 0
-    _say(f"replay MISMATCH for replication {index} of {cfg.name}:")
-    _say(f"  stored:     {stored}")
-    _say(f"  recomputed: {fresh}")
+    print(f"replay MISMATCH for replication {index} of {cfg.name}:")
+    print(f"  stored:     {stored}")
+    print(f"  recomputed: {fresh}")
     return 3
 
 

@@ -27,6 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .limits import GumbelLaw
 from .models import IncrementLaw, law_from_mapping, law_id
 from .truncation import GammaSequence, TruncationScheme, scheme_from_mapping, scheme_id
 from .walkstats import MODES, StatRecord, de_statistic, trajectory
@@ -170,20 +171,15 @@ def experiment_from_parser(
         raise ConfigError(f"config needs an [{section}.law] section")
     law = _build_law(law_map, sec, section, _get_int(sec, "d", 1))
     scheme = _build_scheme(_section_mapping(cp, f"{section}.scheme"))
-    try:
-        return ExperimentConfig(
-            name=sec.get("name", section),
-            law=law,
-            scheme=scheme,
-            mode=sec.get("mode", "classical"),
-            n=_get_int(sec, "n"),
-            replications=_get_int(sec, "replications"),
-            master_seed=_get_int(sec, "master_seed"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        name=sec.get("name", section),
+        law=law,
+        scheme=scheme,
+        mode=sec.get("mode", "classical"),
+        n=_get_int(sec, "n"),
+        replications=_get_int(sec, "replications"),
+        master_seed=_get_int(sec, "master_seed"),
+    )
 
 
 def reference_from_parser(
@@ -238,10 +234,10 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def build_normalizer(cfg: ExperimentConfig) -> Optional[GammaSequence]:
-    """The normalizer sequence an experiment's replications share, or None
-    when it has no truncation scheme; ``run_experiment`` and ``replay`` both
-    build it here."""
-    if cfg.scheme is None:
+    """The normalizer sequence an experiment's replications share, or None in
+    classical mode, which reads none and so ignores any scheme;
+    ``run_experiment`` and ``replay`` both build it here."""
+    if cfg.mode == "classical":
         return None
     return GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
 
@@ -379,9 +375,10 @@ def experiment_summary(
     cfg: ExperimentConfig,
     records: Sequence[StatRecord],
     runtime_seconds: float,
-    gumbel=None,
     reference: Optional[ECDF] = None,
 ) -> dict:
+    """Quantiles, KS distance to the standard Gumbel limit (and to
+    ``reference`` when given) and provenance of one experiment."""
     ecdf = ECDF.from_records(records)
     qs = ecdf.quantiles()
     summary = {
@@ -403,9 +400,8 @@ def experiment_summary(
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
+        "ks_gumbel": ks_one_sample(ecdf, GumbelLaw()),
     }
-    if gumbel is not None:
-        summary["ks_gumbel"] = ks_one_sample(ecdf, gumbel)
     if reference is not None:
         summary["ks_two_sample"] = ks_two_sample(ecdf, reference)
     return summary
@@ -420,7 +416,6 @@ def run_and_persist(
     cfg: ExperimentConfig,
     out_dir: str,
     threads: int = 1,
-    gumbel=None,
     reference: Optional[ECDF] = None,
 ) -> tuple[list[StatRecord], dict]:
     """Run one experiment, write ``<name>.csv``, append to ``summary.jsonl``."""
@@ -429,8 +424,24 @@ def run_and_persist(
     runtime = time.perf_counter() - start
     os.makedirs(out_dir, exist_ok=True)
     write_records_csv(records, os.path.join(out_dir, f"{cfg.name}.csv"))
-    summary = experiment_summary(
-        cfg, records, runtime, gumbel=gumbel, reference=reference
-    )
+    summary = experiment_summary(cfg, records, runtime, reference=reference)
     append_jsonl(summary, os.path.join(out_dir, "summary.jsonl"))
     return records, summary
+
+
+def run_pair(
+    cfg: ExperimentConfig,
+    ref: Optional[ExperimentConfig],
+    out_dir: str,
+    threads: int = 1,
+) -> tuple[Optional[dict], dict]:
+    """Run and persist the optional reference, then ``cfg`` with its
+    two-sample KS distance to the reference; the two summaries, the first
+    None without a reference."""
+    if ref is None:
+        return None, run_and_persist(cfg, out_dir, threads)[1]
+    ref_records, ref_summary = run_and_persist(ref, out_dir, threads)
+    _, summary = run_and_persist(
+        cfg, out_dir, threads, reference=ECDF.from_records(ref_records)
+    )
+    return ref_summary, summary

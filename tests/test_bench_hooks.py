@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lilmax import harness, walkstats
-from lilmax.models import gaussian_iso
+from lilmax import harness, models, walkstats
+from lilmax.models import gaussian_iso, uniform_cube
 from lilmax.truncation import GammaSequence, sqrt_n
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -72,3 +72,36 @@ def test_patched_names_are_reached(monkeypatch):
     assert np.isfinite(rec.value)
     assert calls == {"sample": 2, "inv_apply": 1}
     assert shapes == [(walkstats.BLOCK, 2), (10, 2)]
+
+
+@pytest.mark.parametrize(
+    "law, scheme, mode",
+    [
+        (gaussian_iso(1), None, "classical"),
+        (gaussian_iso(1), sqrt_n(), "classical"),
+        (uniform_cube(2), sqrt_n(), "self_normalized"),
+        (gaussian_iso(1), sqrt_n(), "feller"),
+    ],
+)
+def test_scan_probe_matches_replication_zero(law, scheme, mode):
+    """``perfbench/child.py scan`` times ``de_statistic`` on replication 0's
+    increments drawn up front block by block, against a ``GammaSequence``
+    built whenever the config has a scheme.  That must be the statistic the
+    harness computes for replication 0, or the probe times other work."""
+    cfg = harness.ExperimentConfig(
+        name="scan", law=law, scheme=scheme, mode=mode,
+        n=2 * walkstats.BLOCK + 10, replications=1, master_seed=1608,
+    )
+    rng = np.random.default_rng(harness.replication_seed(cfg.master_seed, 0))
+    blocks = [
+        models.sample(law, rng, min(walkstats.BLOCK, cfg.n - off))
+        for off in range(0, cfg.n, walkstats.BLOCK)
+    ]
+    gs = GammaSequence(law, scheme, n_max=cfg.n) if scheme is not None else None
+    probe = walkstats.de_statistic(
+        walkstats.from_increments(law, np.concatenate(blocks)), gs, mode
+    )
+    rec = harness.replicate(cfg, harness.build_normalizer(cfg), 0)
+    assert (probe.value, probe.argmax_k, probe.max_ratio) == (
+        rec.value, rec.argmax_k, rec.max_ratio
+    )

@@ -93,6 +93,9 @@ y_grid = -2,0
 """
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -165,6 +168,21 @@ def test_simulate_bad_dimension_exits_2(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_classical_simulate_ignores_scheme(tmp_path):
+    # classical mode reads no normalizer, so even a table scheme too short
+    # for the horizon is never built and the records keep their bytes
+    cfg = os.path.join(CONFIGS, "gaussian_d1.ini")
+    small = ["--set", "experiment.n=3000", "--set", "experiment.replications=5"]
+    table = ["--set", "experiment.scheme.family=table",
+             "--set", "experiment.scheme.levels=0.5,1"]
+    plain, schemed = tmp_path / "plain", tmp_path / "schemed"
+    assert main(["simulate", "--config", cfg, "--out", str(plain), *small]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(schemed), *small, *table]) == 0
+    csv = "gaussian_d1.csv"
+    assert (schemed / csv).read_bytes() == (plain / csv).read_bytes()
+    assert _summaries(schemed)[0]["scheme"] == "table[2]-n01"
 
 
 def test_simulate_missing_config_exits_2(tmp_path):
@@ -365,6 +383,29 @@ def test_bad_verification_values_exit_2(tmp_path, capsys, command, item, message
     assert not (out / "summary.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "command, item, message",
+    [
+        ("shift-experiment", "experiment.law.c=abc", "'c' must be a number"),
+        ("shift-experiment", "shift.n_grid=0,100", "horizons must be >= 1"),
+        ("shift-experiment", "shift.n_grid=1e400", "finite numbers"),
+        ("shift-experiment", "shift.n_grid=", "nonempty list"),
+        ("tightness-probe", "probe.horizons=1e400", "finite numbers"),
+        ("tightness-probe", "probe.horizons=1000,0.5", "horizons must be >= 1"),
+        ("tightness-probe", "probe.y_grid=0,nan", "finite numbers"),
+        ("tightness-probe", "probe.y_grid=x", "'y_grid' must be a comma"),
+    ],
+)
+def test_bad_section_values_exit_2(tmp_path, capsys, command, item, message):
+    text = {"shift-experiment": SHIFT_INI, "tightness-probe": PROBE_INI}[command]
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (out / "summary.jsonl").exists()
+
+
 def test_tail_bounds_all_pass(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["tail-bounds", "--out", str(out)]) == 0
@@ -419,14 +460,17 @@ print("scipy.interpolate" in sys.modules)
 
 SPECIAL_PROBE = """\
 import sys
+from dataclasses import replace
 import lilmax.cli
 from lilmax.harness import ExperimentConfig, run_experiment
 from lilmax.models import gaussian_iso, radial_profile
+from lilmax.truncation import sqrt_n
 cfg = ExperimentConfig(
     name="probe", law=gaussian_iso(1), scheme=None, mode="classical",
     n=5000, replications=3, master_seed=7,
 )
 run_experiment(cfg)
+run_experiment(replace(cfg, scheme=sqrt_n()))
 print("scipy.special" in sys.modules)
 radial_profile(gaussian_iso(2), [0.5, 2.0])
 print("scipy.special" in sys.modules)
@@ -461,7 +505,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 def test_special_functions_load_on_first_use():
     # scipy.special costs about 0.2 s per process; the classical statistic
-    # calls no special function, so a classical run never loads it
+    # calls no special function, so a classical run never loads it, with or
+    # without a scheme
     out = _fresh_python(SPECIAL_PROBE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["False", "True"]

@@ -184,7 +184,7 @@ def test_config_reference_d_without_law_section(tmp_path):
     ref = reference_from_parser(cp, cfg)
     assert cfg.law == rademacher_product(1)
     assert ref.law == rademacher_product(2)
-    records, _ = run_and_persist(ref, str(tmp_path / "out"), gumbel=GumbelLaw())
+    records, _ = run_and_persist(ref, str(tmp_path / "out"))
     assert {r.d for r in records} == {2}
     lines = (tmp_path / "out" / "summary.jsonl").read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0])["d"] == 2
@@ -344,6 +344,7 @@ def test_run_experiment_thread_count_irrelevant():
 
 def test_build_normalizer():
     assert build_normalizer(_cfg()) is None
+    assert build_normalizer(_cfg(scheme=sqrt_n())) is None  # classical reads none
     cfg = _cfg(law=rademacher_product(2), scheme=sqrt_n(), mode="self_normalized")
     gs = build_normalizer(cfg)
     assert isinstance(gs, GammaSequence)
@@ -431,7 +432,7 @@ def test_summary_schema(tmp_path):
     cfg = _cfg(replications=16)
     recs = run_experiment(cfg)
     ref = ECDF.from_sample(np.random.default_rng(1).gumbel(size=64))
-    summary = experiment_summary(cfg, recs, 1.5, gumbel=GumbelLaw(), reference=ref)
+    summary = experiment_summary(cfg, recs, 1.5, reference=ref)
     assert summary["experiment"] == "unit"
     assert summary["replications"] == 16
     assert set(summary["quantiles"]) == {
@@ -453,9 +454,7 @@ def test_summary_schema(tmp_path):
 
 def test_run_and_persist(tmp_path):
     cfg = _cfg(name="persist_demo", replications=4)
-    records, summary = run_and_persist(
-        cfg, str(tmp_path), threads=2, gumbel=GumbelLaw()
-    )
+    records, summary = run_and_persist(cfg, str(tmp_path), threads=2)
     assert (tmp_path / "persist_demo.csv").exists()
     assert (tmp_path / "summary.jsonl").exists()
     assert len(records) == 4
