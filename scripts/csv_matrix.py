@@ -10,13 +10,19 @@ in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
 ``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference) and
 ``gaussian_d1.ini`` at d = 3, 4, 7, 8, which write 21 CSVs.  ``lilmax
 shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
-``tightness_fat.ini`` run the same way.  Each side uses its own ``configs/``.
+``tightness_fat.ini`` run the same way.  ``lilmax integral-test`` runs with no
+config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
+(3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
+is not a multiple of the probe's block size.  Each side uses its own
+``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
-output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  On the
-working tree, ``lilmax replay`` then re-executes one replication of each
-simulate config.  The script prints one line per run and exits 1 on any
-difference, failed run or replay mismatch.  Standard library only.
+output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
+``integral-test`` summary holds the probe's exact partial sum at n_max and
+its Euler-Maclaurin check to full precision.  On the working tree, ``lilmax
+replay`` then re-executes one replication of each simulate config.  The
+script prints one line per run and exits 1 on any difference, failed run or
+replay mismatch.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,17 +62,24 @@ SIMULATE = [
 COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
     ("tightness_fat_cmd", "tightness-probe", "tightness_fat.ini", []),
+] + [
+    (f"integral_d{d}_a{a}_b{b}{tag}", "integral-test", None,
+     [f"integral.d={d}", f"integral.a={a}", f"integral.b={b}", *n_max])
+    for d, a, b in ((1, 2, 1), (2, 4, 3), (3, 5, 2))
+    for tag, n_max in (("", []), ("_n123457", ["integral.n_max=123457"]))
 ]
 
 
-def run_lilmax(tree: str, command: str, config: str, sets: list, out: str,
+def run_lilmax(tree: str, command: str, config: str | None, sets: list, out: str,
            extra: tuple = ()) -> subprocess.CompletedProcess:
-    """``lilmax COMMAND`` from ``tree``'s own sources and configs."""
+    """``lilmax COMMAND`` from ``tree``'s own sources and configs; no
+    ``--config`` when ``config`` is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(tree, "src"), env.get("PYTHONPATH")]))
-    args = [sys.executable, "-m", "lilmax.cli", command,
-            "--config", os.path.join(tree, "configs", config), "--out", out, *COMMON]
+    args = [sys.executable, "-m", "lilmax.cli", command, "--out", out, *COMMON]
+    if config is not None:
+        args += ["--config", os.path.join(tree, "configs", config)]
     for item in sets:
         args += ["--set", item]
     return subprocess.run(args + list(extra), cwd=tree, env=env, capture_output=True,

@@ -67,6 +67,13 @@ class ExperimentConfig:
             raise ConfigError(f"mode 'feller' is defined for d = 1, got d = {self.law.d}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.mode != "classical" and self.scheme.family == "table":
+            need = max(self.n, self.scheme.n0)
+            if len(self.scheme.levels) < need:
+                raise ConfigError(
+                    f"table scheme has {len(self.scheme.levels)} levels; mode "
+                    f"{self.mode!r} at n = {self.n} needs {need}"
+                )
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not (0 <= self.master_seed < 2**64):

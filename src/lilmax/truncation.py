@@ -80,6 +80,8 @@ class TruncationScheme:
             arr = np.asarray(self.levels, dtype=float)
             if arr.size == 0:
                 raise ValueError("table scheme needs at least one level")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("table levels must be finite")
             if np.any(arr <= 0.0):
                 raise ValueError("table levels must be positive")
             if np.any(np.diff(arr) < 0.0):

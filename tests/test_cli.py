@@ -185,6 +185,56 @@ def test_classical_simulate_ignores_scheme(tmp_path):
     assert _summaries(schemed)[0]["scheme"] == "table[2]-n01"
 
 
+_TABLE = ["experiment.scheme.family=table"]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
+          "experiment.scheme.levels=nan,1,2"], "table levels must be finite"),
+        (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
+          "experiment.scheme.levels=1e400"], "table levels must be finite"),
+        (["experiment.n=300", "experiment.mode=self_normalized", *_TABLE,
+          "experiment.scheme.levels=0.5,1"], "has 2 levels; mode 'self_normalized' at n = 300"),
+        (["experiment.n=300", "experiment.mode=feller", *_TABLE,
+          "experiment.scheme.levels=0.5,1"], "has 2 levels; mode 'feller' at n = 300"),
+        (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
+          "experiment.scheme.levels=0.5,1,2", "experiment.scheme.n0=4"], "needs 4"),
+        (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
+          "experiment.scheme.levels=0.5,1,2", "reference.master_seed=7",
+          "reference.n=300"], "at n = 300 needs 300"),
+        (["experiment.n=3", "reference.master_seed=7", "reference.mode=feller",
+          "reference.scheme.family=table", "reference.scheme.levels=1,2"], "needs 3"),
+    ],
+    ids=["nan_level", "inf_level", "short_selfnorm", "short_feller", "short_n0",
+         "short_reference_n", "short_reference_scheme"],
+)
+def test_bad_table_scheme_exits_2(tmp_path, capsys, overrides, message):
+    cfg = os.path.join(CONFIGS, "gaussian_d1.ini")
+    out = tmp_path / "o"
+    args = ["simulate", "--config", cfg, "--out", str(out),
+            "--set", "experiment.replications=3"]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["self_normalized", "feller"])
+def test_table_scheme_as_long_as_the_horizon_runs(tmp_path, mode):
+    cfg = os.path.join(CONFIGS, "gaussian_d1.ini")
+    levels = ",".join(str(1.0 + k / 8.0) for k in range(40))
+    args = ["simulate", "--config", cfg, "--out", str(tmp_path),
+            "--set", "experiment.n=40", "--set", "experiment.replications=3",
+            "--set", f"experiment.mode={mode}", "--set", _TABLE[0],
+            "--set", f"experiment.scheme.levels={levels}"]
+    assert main(args) == 0
+    assert _summaries(tmp_path)[0]["scheme"] == "table[40]-n01"
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 

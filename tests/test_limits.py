@@ -612,6 +612,50 @@ def test_streamed_sum_matches_one_cumsum(n, d):
     assert all(got[c] == full[c - 1] for c in at)
 
 
+CRITERION_08_GRID = [
+    (d, float(a), float(b)) for d in (1, 2, 3) for a in range(d, d + 5) for b in range(5)
+]
+
+
+def test_in_place_kernel_matches_one_cumsum_on_criterion_08_grid():
+    """The in-place block kernel against integral_test_term and one cumsum,
+    by ==, at every block edge and checkpoint of a four-block range, for the
+    75 cells criterion 08 probes (d = 1, 2, 3 take phi^2 ** 0.5, 1 and 1.5)."""
+    n = 3 * _SUM_BLOCK + 17
+    at = [int(round(10 ** (j / 2.0))) for j in range(2, 9)] + [1, 15, 16, 17, n]
+    for e in range(_SUM_BLOCK, n, _SUM_BLOCK):
+        at += [e - 1, e, e + 1]
+    ns = np.arange(1, n + 1)
+    for d, a, b in CRITERION_08_GRID:
+        phi = PhiFamily(a=a, b=b, d=d)
+        full = np.cumsum(integral_test_term(phi, ns))
+        got = _exact_partial_sums(phi, n, at)
+        assert sorted(got) == sorted(set(at))
+        bad = [c for c in at if got[c] != full[c - 1]]
+        assert not bad, ((d, a, b), bad)
+
+
+def test_probe_negative_phi_squared_message_unchanged():
+    # phi^2 = 2 + a + b at n = 1 is the smallest over the exact leg
+    with pytest.raises(ValueError) as exc:
+        integral_test_partial_sums(PhiFamily(a=-10.0, b=0.0, d=1))
+    assert str(exc.value) == (
+        "phi^2 is negative at t = 1.0: a = -10.0, b = 0.0 are too negative there"
+    )
+    # phi^2(1) = 0 is allowed, as it is per term
+    assert integral_test_partial_sums(PhiFamily(a=-1.0, b=-1.0, d=2), n_max=10**5)
+
+
+def test_exact_leg_stays_below_the_log_floor_release():
+    # past e^(e^e) the outer logs are no longer 1.0, which the kernel assumes
+    phi = PhiFamily(a=3.0, b=1.0, d=1)
+    with pytest.raises(ValueError, match="below e"):
+        _exact_partial_sums(phi, 3_814_280, [10])
+    assert _exact_partial_sums(phi, 20, [20])[20] == float(
+        np.cumsum(integral_test_term(phi, np.arange(1, 21)))[-1]
+    )
+
+
 def test_probe_holds_no_length_n_array():
     phi = PhiFamily(a=3, b=1, d=2)
     integral_test_partial_sums(phi)

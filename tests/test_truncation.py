@@ -66,6 +66,11 @@ def test_scheme_validation():
         T.table_scheme([2.0, 1.0])
     with pytest.raises(ValueError):
         T.table_scheme([-1.0, 2.0])
+    # NaN compares False against everything, so the order and sign checks
+    # alone let it through; 1e400 parses to inf
+    for levels in ("nan,1,2", "1,nan", "1e400", "1,2,inf"):
+        with pytest.raises(ValueError, match="finite"):
+            T.scheme_from_mapping({"family": "table", "levels": levels})
     with pytest.raises(ValueError):
         T.sqrt_n_polylog(25.0)
     with pytest.raises(ValueError):
