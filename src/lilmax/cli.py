@@ -123,9 +123,14 @@ def _numbers(sec: dict, key: str, default, cast=float) -> list:
                           f"({exc}), got {raw!r}") from exc
 
 
-def _horizon(value: float) -> int:
+def _horizon(value) -> int:
+    """A horizon: a whole number >= 1, written as an integer or as a float
+    such as ``1e5``.  A fractional value is an error, never truncated."""
+    value = float(value)
     if value < 1:
         raise ValueError("horizons must be >= 1")
+    if not value.is_integer():
+        raise ValueError(f"horizons must be whole numbers, got {value!r}")
     return int(value)
 
 
@@ -316,7 +321,7 @@ def cmd_integral_test(args) -> int:
     sec = _section(cp, "integral")
     a, b = _number(sec, "a", 4.0), _number(sec, "b", 0.0)
     d = _number(sec, "d", 1, int)
-    n_max = _number(sec, "n_max", 10**9, lambda raw: int(float(raw)))
+    n_max = _number(sec, "n_max", 10**9, _horizon)
     if not 10**5 <= n_max <= 10**9:
         raise ConfigError(f"integral.n_max must be between 1e5 and 1e9, got {n_max}")
     try:

@@ -243,10 +243,20 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 def build_normalizer(cfg: ExperimentConfig) -> Optional[GammaSequence]:
     """The normalizer sequence an experiment's replications share, or None in
     classical mode, which reads none and so ignores any scheme;
-    ``run_experiment`` and ``replay`` both build it here."""
+    ``run_experiment`` and ``replay`` both build it here.
+
+    The one table the mode divides by is built before this returns, so the
+    build counts as set-up and worker threads never race on it; the other
+    table is never built.
+    """
     if cfg.mode == "classical":
         return None
-    return GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
+    gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
+    if cfg.mode == "feller":
+        gs.sqrt_feller_bn
+    else:
+        gs.inv_scales
+    return gs
 
 
 def replicate(

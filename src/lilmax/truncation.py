@@ -55,6 +55,7 @@ JUMP_BUDGET = 0.01       # admissible sup of k * P{|X| > c_k} on the early windo
 JUMP_WINDOW = 4096       # early-term window the budget clause scans
 EXACT_LIMIT = 10_000     # per-index cache below, checkpoints above
 CHECKPOINT_RATIO = 1.001
+_PREFIX_BLOCK = 8192     # indices per block of the streamed B_k build
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ class TruncationScheme:
         if self.n0 < 1:
             raise ValueError("n0 must be a positive index")
         if self.family == "table":
-            arr = np.asarray(self.levels, dtype=float)
+            arr = self._level_table
             if arr.size == 0:
                 raise ValueError("table scheme needs at least one level")
             if not np.all(np.isfinite(arr)):
@@ -88,6 +89,14 @@ class TruncationScheme:
                 raise ValueError("table levels must be nondecreasing")
         elif self.family == "sqrt_n_polylog" and abs(self.q) > 20.0:
             raise ValueError("polylog exponent out of the supported range [-20, 20]")
+
+    @cached_property
+    def _level_table(self) -> np.ndarray:
+        """``levels`` as a read-only float array, converted once: a table
+        build calls ``c_levels`` block by block."""
+        arr = np.asarray(self.levels, dtype=float)
+        arr.setflags(write=False)
+        return arr
 
 
 def _monotone_floor(p: float) -> int:
@@ -151,7 +160,7 @@ def c_levels(scheme: TruncationScheme, ns) -> np.ndarray:
             raise ValueError(
                 f"index beyond table length {len(scheme.levels)}"
             )
-        return np.asarray(scheme.levels, dtype=float)[m.astype(int) - 1]
+        return scheme._level_table[m.astype(int) - 1]
     root = np.sqrt(m)
     if scheme.family == "sqrt_n":
         return root
@@ -233,10 +242,14 @@ class GammaSequence:
     """Read-only cache of Gamma_n = psd_sqrt(A(c_{n v n0})^2) over 1..n_max.
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
-    held piecewise constant) beyond.  ``inv_scales`` holds 1/lambda(Gamma_n)
-    for every n and is built with the sequence; the feller denominators
-    sqrt(B_k) in ``sqrt_feller_bn`` are built on first use.  Both are shared
-    across worker threads without locking.
+    held piecewise constant) beyond.  Construction runs the n0 rule, both
+    jump diagnostics and the eigenvalue-floor check on the checkpoints, and
+    keeps only the checkpoint values.  Each n_max-long table is built on
+    first use: ``inv_scales`` (1/lambda(Gamma_n), read by self_normalized
+    mode) and ``sqrt_feller_bn`` (the feller denominators sqrt(B_k)).
+    ``harness.build_normalizer`` builds the one its mode reads before any
+    replication, so a run never builds the other, and worker threads share
+    the built one without locking.
     """
 
     def __init__(self, law: IncrementLaw, scheme: TruncationScheme, n_max: int):
@@ -269,8 +282,8 @@ class GammaSequence:
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
         # each checkpoint's value is held up to the next checkpoint
-        self.inv_scales = np.repeat(1.0 / scale, np.diff(ns, append=self.n_max + 1))
-        self.inv_scales.setflags(write=False)
+        self._held_inv = 1.0 / scale
+        self._held_for = np.diff(ns, append=self.n_max + 1)
 
     def _default_n0(self, psi: np.ndarray) -> int:
         law, scheme = self.law, self.scheme
@@ -312,12 +325,21 @@ class GammaSequence:
         return out
 
     @cached_property
+    def inv_scales(self) -> np.ndarray:
+        """Read-only 1/lambda(Gamma_k) for k = 1..n_max, the checkpoint
+        values held up to the next checkpoint."""
+        inv = np.repeat(self._held_inv, self._held_for)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
     def sqrt_feller_bn(self) -> np.ndarray:
         """Read-only sqrt(B_k) for k = 1..n_max, the feller denominators.
 
         B_k comes from ``feller_bn_prefix``, whose levels floor at the
         scheme's n0, not at this sequence's ``n0``: a higher floor would
-        change the statistic.  The elementwise square root has the bits of
+        change the statistic.  The root is taken in place, so the build
+        holds one n_max-long array, and the elementwise root has the bits of
         the root of any slice.  Threads racing on the first access build
         identical arrays.
         """
@@ -333,16 +355,28 @@ class GammaSequence:
 
 
 def feller_bn_prefix(law: IncrementLaw, scheme: TruncationScheme, n: int) -> np.ndarray:
-    """B_1..B_n with B_k = sum_{j<=k} E[X^2 1{|X| <= c_{j v n0}}]; line only."""
+    """B_1..B_n with B_k = sum_{j<=k} E[X^2 1{|X| <= c_{j v n0}}]; line only.
+
+    Streamed into the one output array in blocks of _PREFIX_BLOCK indices:
+    a block's levels, its profile, then its partial sums in place with the
+    carried total added into its first term.  Levels and profile are
+    elementwise, and the accumulate adds left to right, so that add is
+    exactly the one a single np.cumsum over all n terms makes there: the
+    result has its bits, and every temporary is block-sized.
+    """
     if law.d != 1:
         raise ValueError("the Feller running variance is defined for d = 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.empty(0)
-    js = np.arange(1, n + 1)
-    sig2 = np.asarray(radial_profile(law, c_levels(scheme, js)))
-    return np.cumsum(sig2)
+    out = np.empty(n)
+    carry = 0.0
+    for lo in range(0, n, _PREFIX_BLOCK):
+        part = out[lo : lo + _PREFIX_BLOCK]
+        part[:] = radial_profile(law, c_levels(scheme, np.arange(lo + 1, lo + len(part) + 1)))
+        part[0] += carry
+        np.cumsum(part, out=part)
+        carry = part[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,12 @@ a normalizer sequence needs nothing else) or sqrt(B_k) from
 ``GammaSequence.sqrt_feller_bn``.  Self-normalized mode scales rows by
 ``GammaSequence.inv_apply`` with the chunk's indices as a ``range``, which
 reads a slice of ``inv_scales``.  Elementwise square roots and products
-have the same bits however the arrays are sliced.
+have the same bits however the arrays are sliced.  Each table is written
+once, in place, into its own 8n-byte output: ``_sqrt_k`` takes the root of
+a float ``arange`` in place, and sqrt(B_k) is summed in blocks and rooted
+in place.  So classical and feller runs hold one n-long table and
+self-normalized runs two (sqrt(k) and ``inv_scales``); a feller run never
+builds ``inv_scales``.
 
 Chunk pruning
 -------------
@@ -293,7 +298,8 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
 def _sqrt_k(n: int) -> np.ndarray:
     """Read-only sqrt(k) for k = 1..n: the classical and self-normalized
     denominators, built once per horizon (the last four are kept)."""
-    den = np.sqrt(np.arange(1, n + 1))
+    den = np.arange(1.0, n + 1.0)
+    np.sqrt(den, out=den)
     den.setflags(write=False)
     return den
 

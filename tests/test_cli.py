@@ -235,6 +235,18 @@ def test_table_scheme_as_long_as_the_horizon_runs(tmp_path, mode):
     assert _summaries(tmp_path)[0]["scheme"] == "table[40]-n01"
 
 
+def test_feller_near_singular_gamma_exits_3(tmp_path, capsys):
+    # feller builds no inv_scales, yet the checkpoint eigenvalue floor still
+    # runs when its GammaSequence is constructed
+    cfg = os.path.join(CONFIGS, "gaussian_d1.ini")
+    args = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+    for item in ("experiment.mode=feller", "experiment.scheme.family=sqrt_n_polylog",
+                 "experiment.scheme.q=-20", "experiment.scheme.n0=1", "experiment.n=10000"):
+        args += ["--set", item]
+    assert main(args) == 3
+    assert "Gamma_23 has eigenvalue 0.0972 below the floor 0.1" in capsys.readouterr().err
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -454,6 +466,35 @@ def test_bad_section_values_exit_2(tmp_path, capsys, command, item, message):
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
     assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, item, message",
+    [
+        ("tightness-probe", "probe.horizons=1000.7,2000.2", "whole numbers, got 1000.7"),
+        ("shift-experiment", "shift.n_grid=100.9,1000", "whole numbers, got 100.9"),
+        ("integral-test", "integral.n_max=123456.9", "'n_max' must be a number"),
+    ],
+)
+def test_fractional_horizons_exit_2(tmp_path, capsys, command, item, message):
+    args = [command, "--out", str(tmp_path / "out"), "--set", item]
+    text = {"shift-experiment": SHIFT_INI, "tightness-probe": PROBE_INI}.get(command)
+    if text is not None:
+        args += ["--config", _write(tmp_path, "c.ini", text)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out" / "summary.jsonl").exists()
+
+
+def test_horizons_written_as_floats_run(tmp_path):
+    probe = _write(tmp_path, "p.ini", PROBE_INI)
+    out = tmp_path / "out"
+    assert main(["tightness-probe", "--config", probe, "--out", str(out),
+                 "--set", "probe.horizons=1e3,4e3"]) == 0
+    assert _summaries(out)[-1]["horizons"] == [1000, 4000]
+    assert main(["integral-test", "--out", str(out), "--set", "integral.n_max=1e5"]) == 0
+    assert "partial_sum_at_n_max" in _summaries(out)[-1]
 
 
 def test_tail_bounds_all_pass(tmp_path, capsys):

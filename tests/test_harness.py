@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,30 @@ def test_build_normalizer():
     gs = build_normalizer(cfg)
     assert isinstance(gs, GammaSequence)
     assert (gs.law, gs.scheme, gs.n_max) == (cfg.law, cfg.scheme, cfg.n)
+
+
+def test_build_normalizer_builds_only_its_mode_table():
+    law = gaussian_iso(1)
+    feller = build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="feller"))
+    assert "sqrt_feller_bn" in vars(feller)
+    assert "inv_scales" not in vars(feller)
+    selfnorm = build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="self_normalized"))
+    assert "inv_scales" in vars(selfnorm)
+    assert "sqrt_feller_bn" not in vars(selfnorm)
+
+
+def test_feller_build_normalizer_holds_one_table():
+    law = gaussian_iso(1)
+    build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="feller", n=10))  # loads scipy.special
+    cfg = _cfg(law=law, scheme=sqrt_n(), mode="feller", n=10**6)
+    tracemalloc.start()
+    try:
+        build_normalizer(cfg).sqrt_feller_bn
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # sqrt(B_k) alone is 8 MB; with inv_scales and a one-cumsum B_k it was 40 MB
+    assert peak < 10_000_000, peak
 
 
 def test_run_experiment_distinct_streams():

@@ -7,6 +7,7 @@ cache against the analytic truncated second moments it must reproduce.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,36 @@ def test_feller_bn_floors_at_scheme_n0():
     )
     assert not gs.sqrt_feller_bn.flags.writeable
     assert gs.sqrt_feller_bn is gs.sqrt_feller_bn
+
+
+FELLER_LAWS = [M.gaussian_iso(1), M.rademacher_product(1), M.uniform_cube(1),
+               M.atom_ladder(0.5, 2, d=1), M.atom_ladder_fat(2, d=1)]
+FELLER_SCHEMES = [T.sqrt_n(), T.sqrt_n(12), T.sqrt_n_invLL5(),
+                  T.table_scheme(0.9 * np.sqrt(np.arange(1.0, 123458.0)) + 0.05)]
+
+
+@pytest.mark.parametrize("law", FELLER_LAWS, ids=M.law_id)
+@pytest.mark.parametrize("scheme", FELLER_SCHEMES, ids=T.scheme_id)
+def test_streamed_feller_bn_matches_one_cumsum(law, scheme):
+    # one index, a block and its edges, three blocks and a tail, and GAMMA_ORACLE's horizon
+    for n in (1, 8191, 8192, 8193, 3 * 8192 + 17, 123457):
+        want = np.cumsum(M.radial_profile(law, T.c_levels(scheme, np.arange(1, n + 1))))
+        got = T.feller_bn_prefix(law, scheme, n)
+        assert got.shape == (n,)
+        assert np.all(got == want), n
+
+
+def test_feller_bn_prefix_streams_in_bounded_memory():
+    law = M.gaussian_iso(1)
+    T.feller_bn_prefix(law, T.sqrt_n(), 10)  # loads scipy.special first
+    tracemalloc.start()
+    try:
+        T.feller_bn_prefix(law, T.sqrt_n(), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 8 MB result and block-sized temporaries; one cumsum took 32 MB
+    assert peak < 9_000_000, peak
 
 
 def test_feller_empty_sum_and_dimension_gate():

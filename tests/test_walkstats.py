@@ -538,6 +538,20 @@ def test_classical_reducer_releases_each_block_norms():
     assert rec == WARM_RECORD
 
 
+def test_sqrt_k_built_in_place():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        den = walkstats._sqrt_k.__wrapped__(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 8 MB table alone; an integer arange and its root took 16 MB
+    assert peak < 9_000_000, peak
+    assert not den.flags.writeable
+    assert np.array_equal(den, np.sqrt(np.arange(1, n + 1)))
+
+
 def test_multiblock_carry_and_tie_break():
     """A ratio tie across a block boundary resolves to the smaller index,
     and the compensated carry keeps the second block's partial sums exact."""
