@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -28,11 +27,15 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     append_jsonl,
-    apply_overrides,
     build_normalizer,
+    config_number,
+    config_numbers,
     experiment_from_parser,
     load_config_parser,
+    read_law,
     read_records_csv,
+    read_scheme,
+    read_section,
     record_row,
     reference_from_parser,
     replicate,
@@ -48,7 +51,7 @@ from .limits import (
     integral_test_classify,
     integral_test_partial_sums,
 )
-from .models import law_from_mapping, law_id, radial_profile
+from .models import gaussian_iso, law_id, radial_profile
 from .truncation import (
     scheme_id,
     sqrt_n,
@@ -69,19 +72,9 @@ _PROBE_Y = (-4.0, -2.0, 0.0, 2.0)
 # ---------------------------------------------------------------------------
 
 
-def _parser_from_args(args) -> "configparser.ConfigParser":
-    import configparser
-
-    if args.config is not None:
-        cp = load_config_parser(args.config, args.set or [])
-    else:
-        cp = configparser.ConfigParser(interpolation=None)
-        apply_overrides(cp, args.set or [])
-    if args.seed is not None:
-        if not cp.has_section("experiment"):
-            cp.add_section("experiment")
-        cp.set("experiment", "master_seed", str(args.seed))
-    return cp
+def _parser_from_args(args):
+    seed = [] if args.seed is None else [f"experiment.master_seed={args.seed}"]
+    return load_config_parser(args.config, [*(args.set or []), *seed])
 
 
 def _experiment_pair(args) -> tuple[ExperimentConfig, Optional[ExperimentConfig]]:
@@ -89,49 +82,6 @@ def _experiment_pair(args) -> tuple[ExperimentConfig, Optional[ExperimentConfig]
     cfg = experiment_from_parser(cp)
     ref = reference_from_parser(cp, cfg)
     return cfg, ref
-
-
-def _section(cp, name: str) -> dict:
-    return dict(cp.items(name)) if cp.has_section(name) else {}
-
-
-def _number(sec: dict, key: str, default, cast=float):
-    """``sec[key]`` through ``cast``, ``default`` when the key is absent."""
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from exc
-
-
-def _numbers(sec: dict, key: str, default, cast=float) -> list:
-    """The comma-separated list ``sec[key]``, each entry through ``cast``;
-    ``default`` when the key is absent.  The list must be nonempty and
-    every entry a finite number that ``cast`` accepts."""
-    raw = sec.get(key)
-    if raw is None:
-        return list(default)
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
-        if not values or not all(map(math.isfinite, values)):
-            raise ValueError("need a nonempty list of finite numbers")
-        return [cast(v) for v in values]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r} must be a comma-separated number list "
-                          f"({exc}), got {raw!r}") from exc
-
-
-def _horizon(value) -> int:
-    """A horizon: a whole number >= 1, written as an integer or as a float
-    such as ``1e5``.  A fractional value is an error, never truncated."""
-    value = float(value)
-    if value < 1:
-        raise ValueError("horizons must be >= 1")
-    if not value.is_integer():
-        raise ValueError(f"horizons must be whole numbers, got {value!r}")
-    return int(value)
 
 
 def _out_dir(args) -> str:
@@ -194,11 +144,13 @@ def shift_driver_table(law, ns: Sequence[int]) -> list[dict]:
 
 def cmd_shift_experiment(args) -> int:
     cp = _parser_from_args(args)
-    law_map = _section(cp, "experiment.law")
+    law_map = read_section(cp, "experiment.law")
     if law_map.get("family") != "atom_ladder":
         raise ConfigError("shift-experiment requires an atom_ladder increment law")
-    c = _number(law_map, "c", 0.5)
-    grid = _numbers(_section(cp, "shift"), "n_grid", _DRIVER_GRID, _horizon)
+    c = config_number(law_map, "c", 0.5)
+    grid = config_numbers(read_section(cp, "shift"), "n_grid", _DRIVER_GRID, whole=True)
+    if min(grid) < 1:
+        raise ConfigError(f"shift.n_grid: horizons must be >= 1, got {grid}")
 
     if c == 0.0:
         rows = shift_driver_table(None, grid)
@@ -272,16 +224,18 @@ def probe_exceedance(cfg: ExperimentConfig, horizons, y_grid, threads=1) -> list
 
 def cmd_tightness_probe(args) -> int:
     cp = _parser_from_args(args)
-    law_map = _section(cp, "experiment.law")
+    law_map = read_section(cp, "experiment.law")
     if law_map.get("family") != "atom_ladder_fat":
         raise ConfigError(
             "tightness-probe requires the atom_ladder_fat increment law "
             "(tight families have nothing to show here)"
         )
     cfg = experiment_from_parser(cp)
-    probe_sec = _section(cp, "probe")
-    horizons = _numbers(probe_sec, "horizons", _PROBE_HORIZONS, _horizon)
-    y_grid = _numbers(probe_sec, "y_grid", _PROBE_Y)
+    probe_sec = read_section(cp, "probe")
+    horizons = config_numbers(probe_sec, "horizons", _PROBE_HORIZONS, whole=True)
+    if min(horizons) < 1:
+        raise ConfigError(f"probe.horizons: horizons must be >= 1, got {horizons}")
+    y_grid = config_numbers(probe_sec, "y_grid", _PROBE_Y)
     rows = probe_exceedance(cfg, horizons, y_grid, threads=args.threads)
     print(f"exceedance frequencies of the centered max, R={cfg.replications}:")
     header = "  ".join(f"P(>{y:g})" for y in y_grid)
@@ -318,10 +272,10 @@ def cmd_tightness_probe(args) -> int:
 
 def cmd_integral_test(args) -> int:
     cp = _parser_from_args(args)
-    sec = _section(cp, "integral")
-    a, b = _number(sec, "a", 4.0), _number(sec, "b", 0.0)
-    d = _number(sec, "d", 1, int)
-    n_max = _number(sec, "n_max", 10**9, _horizon)
+    sec = read_section(cp, "integral")
+    a, b = config_number(sec, "a", 4.0), config_number(sec, "b", 0.0)
+    d = config_number(sec, "d", 1, whole=True)
+    n_max = config_number(sec, "n_max", 10**9, whole=True)
     if not 10**5 <= n_max <= 10**9:
         raise ConfigError(f"integral.n_max must be between 1e5 and 1e9, got {n_max}")
     try:
@@ -370,8 +324,8 @@ def cmd_integral_test(args) -> int:
 
 def cmd_tail_bounds(args) -> int:
     cp = _parser_from_args(args)
-    sec = _section(cp, "tails")
-    sigmas = _numbers(sec, "sigmas", [round(0.1 * j, 1) for j in range(1, 10)])
+    sec = read_section(cp, "tails")
+    sigmas = config_numbers(sec, "sigmas", [round(0.1 * j, 1) for j in range(1, 10)])
     if not all(0.0 < sigma < 1.0 for sigma in sigmas):
         raise ConfigError(f"tails.sigmas must lie in (0, 1), got {sec['sigmas']!r}")
     checks = []
@@ -432,12 +386,8 @@ def cmd_tail_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     cp = _parser_from_args(args)
-    if cp.has_section("experiment") and cp.has_section("experiment.law"):
-        cfg = experiment_from_parser(cp)
-        law, scheme = cfg.law, cfg.scheme
-    else:
-        law = law_from_mapping({"family": "gaussian_iso", "d": 1})
-        scheme = None
+    law = read_law(cp, "experiment") if cp.has_section("experiment.law") else gaussian_iso(1)
+    scheme = read_scheme(cp, "experiment")
     if scheme is not None:
         schemes = {scheme_id(scheme): scheme}
     else:

@@ -11,12 +11,17 @@ fields; the increment law and truncation scheme live in the sub-sections
 (with its own optional sub-sections) describes a second experiment that
 inherits any field it does not override, which is how a same-horizon
 Gaussian baseline is attached to a two-sample comparison.
+
+Every number in a config, the CLI's own sections included, is read by
+``parse_number``: it must be finite, and a whole-number key also accepts
+``1e5`` and ``2.0`` but no fractional value.  Each error names its key.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,8 +33,16 @@ import scipy
 
 from . import __version__
 from .limits import GumbelLaw
-from .models import IncrementLaw, law_from_mapping, law_id
-from .truncation import GammaSequence, TruncationScheme, scheme_from_mapping, scheme_id
+from .models import IncrementLaw, law_id
+from .truncation import (
+    GammaSequence,
+    TruncationScheme,
+    scheme_id,
+    sqrt_n,
+    sqrt_n_invLL5,
+    sqrt_n_polylog,
+    table_scheme,
+)
 from .walkstats import MODES, StatRecord, de_statistic, trajectory
 
 CSV_HEADER = "replication_index,mode,value,argmax_k,n,d,seed"
@@ -93,17 +106,17 @@ class ExperimentConfig:
 
 
 def load_config_parser(
-    path: str, overrides: Sequence[str] = ()
+    path: Optional[str], overrides: Sequence[str] = ()
 ) -> configparser.ConfigParser:
-    """Read an INI file and apply dotted ``section.key=value`` overrides.
+    """Read an INI file (none when ``path`` is None) and apply dotted
+    ``section.key=value`` overrides.
 
     The key after the last dot names the option; everything before it names
     the section, so ``experiment.law.family=uniform_cube`` targets the
     [experiment.law] section.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path, encoding="utf-8")
-    if not read:
+    if path is not None and not cp.read(path, encoding="utf-8"):
         raise ConfigError(f"config file {path!r} not found or unreadable")
     apply_overrides(cp, overrides)
     return cp
@@ -126,107 +139,169 @@ def apply_overrides(cp: configparser.ConfigParser, overrides: Sequence[str]) -> 
         cp.set(section, key.strip(), value.strip())
 
 
-def _section_mapping(cp: configparser.ConfigParser, name: str) -> Optional[dict]:
-    if not cp.has_section(name):
-        return None
-    return dict(cp.items(name))
+def read_section(cp: configparser.ConfigParser, name: str) -> dict:
+    """The keys of section [name], or an empty dict when it is absent."""
+    return dict(cp.items(name)) if cp.has_section(name) else {}
 
 
-def _build_law(mapping: dict, sec: dict, section: str, d: int) -> IncrementLaw:
-    """The law of [section.law]; a ``d`` given there and in [section] must agree."""
-    m = dict(mapping)
-    if "d" in sec and "d" in m and _get_int(m, "d") != d:
-        raise ConfigError(
-            f"[{section}] d = {d} disagrees with [{section}.law] d = {m['d']}"
-        )
-    m.setdefault("d", d)
+def parse_number(text: str, whole: bool = False):
+    """The finite number ``text`` spells, an int when ``whole``; ValueError
+    "whole" for a fractional one, "finite" for any other misfit.  ``int()``
+    goes first, so a whole value past 2**53 (a 64-bit seed) stays exact."""
+    if whole:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
-        return law_from_mapping(m)
-    except (ValueError, TypeError) as exc:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("finite")
+    if whole and not value.is_integer():
+        raise ValueError("whole")
+    return int(value) if whole else value
+
+
+def config_number(sec: dict, key: str, default=None, whole: bool = False):
+    """``sec[key]`` through ``parse_number``; ``default`` when the key is
+    absent, which makes the key required when ``default`` is None."""
+    raw = sec.get(key)
+    if raw is None:
+        if default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    try:
+        return parse_number(raw, whole)
+    except ValueError as exc:
+        noun = "a whole number" if str(exc) == "whole" else "a number"
+        raise ConfigError(f"key {key!r} must be {noun}, got {raw!r}") from None
+
+
+def config_numbers(sec: dict, key: str, default, whole: bool = False) -> list:
+    """The nonempty comma-separated list ``sec[key]``, each entry through
+    ``parse_number``; ``default`` when the key is absent."""
+    raw = sec.get(key)
+    if raw is None:
+        return list(default)
+    kind = "finite"
+    try:
+        values = [parse_number(tok, whole) for tok in raw.split(",") if tok.strip()]
+        if values:
+            return values
+    except ValueError as exc:
+        kind = str(exc)
+    raise ConfigError(
+        f"key {key!r} must be a comma-separated nonempty list of {kind} numbers, got {raw}"
+    )
+
+
+def law_from_mapping(m: dict, d: int = 1) -> IncrementLaw:
+    """The increment law of a [*.law] section; ``d`` when it sets none."""
+    fam = m.get("family")
+    if fam is None:
+        raise ConfigError("law section needs a 'family' key")
+    try:
+        kw = {"family": fam, "d": config_number(m, "d", d, whole=True)}
+        if fam in ("atom_ladder", "atom_ladder_fat"):
+            kw["k0"] = config_number(m, "k0", 2, whole=True)
+            kw["direction_mode"] = m.get("direction_mode", "sphere")
+        if fam == "atom_ladder":
+            kw["c"] = config_number(m, "c", 0.5)
+        return IncrementLaw(**kw)
+    except ValueError as exc:
         raise ConfigError(f"bad law section: {exc}") from exc
 
 
-def _build_scheme(mapping: Optional[dict]) -> Optional[TruncationScheme]:
-    if mapping is None or mapping.get("family", "none") == "none":
-        return None
+def scheme_from_mapping(m: dict) -> TruncationScheme:
+    """The truncation scheme of a [*.scheme] section (family ``sqrt_n`` when
+    it names none); ``n0`` defaults to the family's own floor, ``q`` to 0."""
+    fam = m.get("family", "sqrt_n")
     try:
-        return scheme_from_mapping(mapping)
-    except (ValueError, TypeError) as exc:
+        kw = {"n0": config_number(m, "n0", whole=True)} if "n0" in m else {}
+        if fam == "sqrt_n":
+            return sqrt_n(**kw)
+        if fam == "sqrt_n_invLL5":
+            return sqrt_n_invLL5(**kw)
+        if fam == "sqrt_n_polylog":
+            return sqrt_n_polylog(config_number(m, "q", 0.0), **kw)
+        if fam == "table":
+            return table_scheme(config_numbers(m, "levels", ()), **kw)
+        raise ValueError(f"unknown scheme family {fam!r}")
+    except ValueError as exc:
         raise ConfigError(f"bad scheme section: {exc}") from exc
 
 
-def _get_int(sec: dict, key: str, fallback: Optional[int] = None) -> int:
-    raw = sec.get(key)
-    if raw is None:
-        if fallback is None:
-            raise ConfigError(f"missing required integer key {key!r}")
-        return fallback
-    try:
-        return int(str(raw).strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from exc
+def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[TruncationScheme]:
+    """The scheme of [section.scheme]; None without a family or for ``none``."""
+    m = read_section(cp, f"{section}.scheme")
+    if m.get("family", "none") == "none":
+        return None
+    return scheme_from_mapping(m)
+
+
+def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> IncrementLaw:
+    """The law of [section.law]; its ``d`` is that of [section] or of the law
+    section, which must agree when both set one, else ``d``."""
+    sec, m = read_section(cp, section), read_section(cp, f"{section}.law")
+    d = config_number(sec, "d", d, whole=True)
+    if "d" in sec and "d" in m and config_number(m, "d", whole=True) != d:
+        raise ConfigError(
+            f"[{section}] d = {d} disagrees with [{section}.law] d = {m['d']}"
+        )
+    return law_from_mapping(m, d)
 
 
 def experiment_from_parser(
-    cp: configparser.ConfigParser, section: str = "experiment"
+    cp: configparser.ConfigParser, section: str = "experiment",
+    base: Optional[ExperimentConfig] = None,
 ) -> ExperimentConfig:
-    sec = _section_mapping(cp, section)
-    if sec is None:
+    """The experiment of [section], [section.law] and [section.scheme].
+
+    With a ``base`` experiment, a field [section] does not set is the
+    base's, the law without [section.law] is the base law at this d, and the
+    master seed must differ from the base's, so the two samples are
+    independent.
+    """
+    if not cp.has_section(section):
         raise ConfigError(f"config needs an [{section}] section")
-    law_map = _section_mapping(cp, f"{section}.law")
-    if law_map is None:
+    sec = read_section(cp, section)
+    if cp.has_section(f"{section}.law"):
+        law = read_law(cp, section, getattr(base, "d", 1))
+    elif base is None:
         raise ConfigError(f"config needs an [{section}.law] section")
-    law = _build_law(law_map, sec, section, _get_int(sec, "d", 1))
-    scheme = _build_scheme(_section_mapping(cp, f"{section}.scheme"))
+    else:
+        try:
+            law = replace(base.law, d=config_number(sec, "d", base.d, whole=True))
+        except ValueError as exc:
+            raise ConfigError(f"bad [{section}] d: {exc}") from exc
+    scheme = getattr(base, "scheme", None)
+    if cp.has_section(f"{section}.scheme"):
+        scheme = read_scheme(cp, section)
+    seed = config_number(sec, "master_seed", whole=True)
+    if base is not None and seed == base.master_seed:
+        raise ConfigError(f"{section} master_seed must differ from the experiment's")
     return ExperimentConfig(
-        name=sec.get("name", section),
+        name=sec.get("name", section if base is None else f"{base.name}_{section}"),
         law=law,
         scheme=scheme,
-        mode=sec.get("mode", "classical"),
-        n=_get_int(sec, "n"),
-        replications=_get_int(sec, "replications"),
-        master_seed=_get_int(sec, "master_seed"),
+        mode=sec.get("mode", getattr(base, "mode", "classical")),
+        n=config_number(sec, "n", getattr(base, "n", None), whole=True),
+        replications=config_number(
+            sec, "replications", getattr(base, "replications", None), whole=True
+        ),
+        master_seed=seed,
     )
 
 
 def reference_from_parser(
     cp: configparser.ConfigParser, base: ExperimentConfig
 ) -> Optional[ExperimentConfig]:
-    """Build the optional [reference] experiment, inheriting from ``base``.
-
-    The reference shares the horizon, replication count, mode, and dimension
-    of the base experiment unless it overrides them, and it must carry its
-    own master seed so the two samples are independent.  Without a
-    [reference.law] section it takes the base law's family at its own d.
-    """
-    sec = _section_mapping(cp, "reference")
-    if sec is None:
+    """The optional [reference] experiment, inheriting from ``base``."""
+    if not cp.has_section("reference"):
         return None
-    d = _get_int(sec, "d", base.d)
-    law_map = _section_mapping(cp, "reference.law")
-    if law_map is not None:
-        law = _build_law(law_map, sec, "reference", d)
-    else:
-        try:
-            law = replace(base.law, d=d)
-        except ValueError as exc:
-            raise ConfigError(f"bad [reference] d: {exc}") from exc
-    if cp.has_section("reference.scheme"):
-        scheme = _build_scheme(_section_mapping(cp, "reference.scheme"))
-    else:
-        scheme = base.scheme
-    seed = _get_int(sec, "master_seed")
-    if seed == base.master_seed:
-        raise ConfigError("reference master_seed must differ from the experiment's")
-    return ExperimentConfig(
-        name=sec.get("name", f"{base.name}_reference"),
-        law=law,
-        scheme=scheme,
-        mode=sec.get("mode", base.mode),
-        n=_get_int(sec, "n", base.n),
-        replications=_get_int(sec, "replications", base.replications),
-        master_seed=seed,
-    )
+    return experiment_from_parser(cp, "reference", base)
 
 
 # ---------------------------------------------------------------------------

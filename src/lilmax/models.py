@@ -555,33 +555,3 @@ def sample(
     else:
         np.multiply(radii[:, None], _sample_directions(law, rng, size), out=out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# config round-trip
-# ---------------------------------------------------------------------------
-
-
-def law_from_mapping(m: dict) -> IncrementLaw:
-    """Build a law from a flat mapping (config-file section)."""
-    fam = m.get("family")
-    if fam is None:
-        raise ValueError("law section needs a 'family' key")
-    d = int(m.get("d", 1))
-    if fam == "gaussian_iso":
-        return gaussian_iso(d)
-    if fam == "rademacher_product":
-        return rademacher_product(d)
-    if fam == "uniform_cube":
-        return uniform_cube(d)
-    if fam == "atom_ladder":
-        return atom_ladder(
-            c=float(m.get("c", 0.5)), k0=int(m.get("k0", 2)), d=d,
-            direction_mode=m.get("direction_mode", "sphere"),
-        )
-    if fam == "atom_ladder_fat":
-        return atom_ladder_fat(
-            k0=int(m.get("k0", 2)), d=d,
-            direction_mode=m.get("direction_mode", "sphere"),
-        )
-    raise ValueError(f"unknown family {fam!r}")

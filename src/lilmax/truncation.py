@@ -87,7 +87,8 @@ class TruncationScheme:
                 raise ValueError("table levels must be positive")
             if np.any(np.diff(arr) < 0.0):
                 raise ValueError("table levels must be nondecreasing")
-        elif self.family == "sqrt_n_polylog" and abs(self.q) > 20.0:
+        elif self.family == "sqrt_n_polylog" and not abs(self.q) <= 20.0:
+            # written so that a NaN exponent fails too
             raise ValueError("polylog exponent out of the supported range [-20, 20]")
 
     @cached_property
@@ -133,7 +134,8 @@ def sqrt_n_invLL5(n0: Optional[int] = None) -> TruncationScheme:
 
 def sqrt_n_polylog(q: float, n0: Optional[int] = None) -> TruncationScheme:
     if n0 is None:
-        n0 = _monotone_floor(-q) if q < 0 else 1
+        # out of range, q is rejected below; the floor search would not end at -inf
+        n0 = _monotone_floor(-q) if -20.0 <= q < 0 else 1
     return TruncationScheme(family="sqrt_n_polylog", q=float(q), n0=n0)
 
 
@@ -175,21 +177,6 @@ def c_level(scheme: TruncationScheme, n: int) -> float:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     return float(c_levels(scheme, np.asarray([n]))[0])
-
-
-def scheme_from_mapping(m: dict) -> TruncationScheme:
-    fam = m.get("family", "sqrt_n")
-    n0 = m.get("n0")
-    if fam == "sqrt_n":
-        return sqrt_n(int(n0)) if n0 is not None else sqrt_n()
-    if fam == "sqrt_n_invLL5":
-        return sqrt_n_invLL5(int(n0) if n0 is not None else None)
-    if fam == "sqrt_n_polylog":
-        return sqrt_n_polylog(float(m.get("q", 0.0)), int(n0) if n0 is not None else None)
-    if fam == "table":
-        levels = [float(v) for v in str(m.get("levels", "")).split(",") if v.strip()]
-        return table_scheme(levels, int(n0) if n0 is not None else 1)
-    raise ValueError(f"unknown scheme family {fam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +223,27 @@ def _jump_candidates(law: IncrementLaw, scheme: TruncationScheme, n_max: int) ->
                 if 1 <= kk <= n_max:
                     ks.append(kk)
     return np.unique(np.asarray(ks, dtype=np.int64))
+
+
+def _eigenvalue_floor_index(law: IncrementLaw, scheme: TruncationScheme, n_max: int) -> int:
+    """Smallest n <= n_max with lambda_min(Gamma_n) = sqrt(a(c_n)) >= LAMBDA_FLOOR
+    (isotropic laws).
+
+    Scanned in blocks of 1, 2, 4, ... indices, so a floor met at n = 1
+    costs one profile call and a floor never met about log2(n_max) calls.
+    """
+    lo, size = 1, 1
+    while lo <= n_max:
+        ks = np.arange(lo, min(lo + size, n_max + 1))
+        a = radial_profile(law, c_levels(scheme, ks))
+        ok = np.sqrt(np.maximum(a, 0.0)) >= LAMBDA_FLOOR
+        if ok.any():
+            return lo + int(np.argmax(ok))
+        lo, size = lo + size, 2 * size
+    raise NearSingularError(
+        f"no index up to {n_max} reaches the eigenvalue floor "
+        f"{LAMBDA_FLOOR} for {law_id(law)}"
+    )
 
 
 class GammaSequence:
@@ -286,19 +294,7 @@ class GammaSequence:
         self._held_for = np.diff(ns, append=self.n_max + 1)
 
     def _default_n0(self, psi: np.ndarray) -> int:
-        law, scheme = self.law, self.scheme
-        # eigenvalue clause: lambda_min = sqrt(a(c_n)) for isotropic laws
-        n_eig = 1
-        while n_eig <= self.n_max:
-            a = float(radial_profile(law, c_level(scheme, n_eig)))
-            if math.sqrt(max(a, 0.0)) >= LAMBDA_FLOOR:
-                break
-            n_eig += 1
-        else:
-            raise NearSingularError(
-                f"no index up to {self.n_max} reaches the eigenvalue floor "
-                f"{LAMBDA_FLOOR} for {law_id(law)}"
-            )
+        n_eig = _eigenvalue_floor_index(self.law, self.scheme, self.n_max)
         # jump-visibility clause on the early window
         suffix = np.maximum.accumulate(psi[::-1])[::-1]
         ok = suffix <= JUMP_BUDGET

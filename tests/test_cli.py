@@ -192,9 +192,9 @@ _TABLE = ["experiment.scheme.family=table"]
     "overrides, message",
     [
         (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
-          "experiment.scheme.levels=nan,1,2"], "table levels must be finite"),
+          "experiment.scheme.levels=nan,1,2"], "'levels' must be a comma-separated nonempty list of finite numbers"),
         (["experiment.n=3", "experiment.mode=self_normalized", *_TABLE,
-          "experiment.scheme.levels=1e400"], "table levels must be finite"),
+          "experiment.scheme.levels=1e400"], "'levels' must be a comma-separated nonempty list of finite numbers"),
         (["experiment.n=300", "experiment.mode=self_normalized", *_TABLE,
           "experiment.scheme.levels=0.5,1"], "has 2 levels; mode 'self_normalized' at n = 300"),
         (["experiment.n=300", "experiment.mode=feller", *_TABLE,
@@ -430,9 +430,9 @@ def test_integral_test_overflowed_tail_is_null(tmp_path):
         ("integral-test", "integral.n_max=5e4", "between 1e5 and 1e9"),
         ("integral-test", "integral.n_max=inf", "'n_max' must be a number"),
         ("integral-test", "integral.d=9", "dimension must be in 1..8"),
-        ("integral-test", "integral.d=1.5", "'d' must be a number"),
+        ("integral-test", "integral.d=1.5", "'d' must be a whole number"),
         ("integral-test", "integral.a=x", "'a' must be a number"),
-        ("integral-test", "integral.b=nan", "coefficients must be finite"),
+        ("integral-test", "integral.b=nan", "'b' must be a number"),
         ("tail-bounds", "tails.sigmas=1.5", "must lie in (0, 1)"),
         ("tail-bounds", "tails.sigmas=0.5,0", "must lie in (0, 1)"),
     ],
@@ -453,7 +453,7 @@ def test_bad_verification_values_exit_2(tmp_path, capsys, command, item, message
         ("shift-experiment", "shift.n_grid=1e400", "finite numbers"),
         ("shift-experiment", "shift.n_grid=", "nonempty list"),
         ("tightness-probe", "probe.horizons=1e400", "finite numbers"),
-        ("tightness-probe", "probe.horizons=1000,0.5", "horizons must be >= 1"),
+        ("tightness-probe", "probe.horizons=1000,0.5", "whole numbers, got 1000,0.5"),
         ("tightness-probe", "probe.y_grid=0,nan", "finite numbers"),
         ("tightness-probe", "probe.y_grid=x", "'y_grid' must be a comma"),
     ],
@@ -473,7 +473,7 @@ def test_bad_section_values_exit_2(tmp_path, capsys, command, item, message):
     [
         ("tightness-probe", "probe.horizons=1000.7,2000.2", "whole numbers, got 1000.7"),
         ("shift-experiment", "shift.n_grid=100.9,1000", "whole numbers, got 100.9"),
-        ("integral-test", "integral.n_max=123456.9", "'n_max' must be a number"),
+        ("integral-test", "integral.n_max=123456.9", "'n_max' must be a whole number"),
     ],
 )
 def test_fractional_horizons_exit_2(tmp_path, capsys, command, item, message):
@@ -523,6 +523,112 @@ def test_validate_flags_ladder_tail(tmp_path, capsys):
     results = {row["check"]: row["result"] for row in payload["rows"]}
     small_o = [v for k, v in results.items() if "small_o" in k]
     assert small_o == ["FAIL"]  # the shifted ladder keeps tail mass at level c
+
+
+def test_validate_reads_the_law_and_scheme_it_is_given(tmp_path, capsys):
+    # no [experiment] section and no n: validate needs only the law and scheme
+    out = tmp_path / "out"
+    fat = ["--set", "experiment.law.family=atom_ladder_fat"]
+    assert main(["validate", "--out", str(out), *fat]) == 0
+    rows = {row["check"]: row["result"] for row in _summaries(out)[-1]["rows"]}
+    assert rows["tail condition big_O atom_ladder_fat-d1-k02-sphere"] == "FAIL"
+    assert "atom_ladder_fat-d1-k02-sphere FAIL" in capsys.readouterr().out
+    polylog = ["--set", "experiment.scheme.family=sqrt_n_polylog",
+               "--set", "experiment.scheme.q=2"]
+    assert main(["validate", "--out", str(out), *fat, "--set", "experiment.d=1", *polylog]) == 0
+    rows = {row["check"]: row["result"] for row in _summaries(out)[-1]["rows"]}
+    assert [k for k in rows if k.startswith("growth window")] == [
+        "growth window sqrt_n_polylog(q=2)-n01"]
+    assert main(["validate", "--out", str(out), *fat, "--set", "experiment.law.d=2"]) == 0
+    assert "atom_ladder_fat-d2-k02-sphere" in capsys.readouterr().out
+    assert main(["validate", "--out", str(out), *fat, "--set", "experiment.d=2",
+                 "--set", "experiment.law.d=1"]) == 2
+    assert "disagrees" in capsys.readouterr().err
+
+
+_LADDER = ["experiment.law.family=atom_ladder"]
+
+# every numeric key a config can hold: (command, config text, extra
+# overrides that make the command read the key, dotted key, whole number)
+_NUMERIC_KEYS = [
+    ("simulate", GAUSS_INI, [], "experiment.d", True),
+    ("simulate", GAUSS_INI, [], "experiment.n", True),
+    ("simulate", GAUSS_INI, [], "experiment.replications", True),
+    ("simulate", GAUSS_INI, [], "experiment.master_seed", True),
+    ("simulate", REF_INI, [], "reference.d", True),
+    ("simulate", REF_INI, [], "reference.n", True),
+    ("simulate", REF_INI, [], "reference.replications", True),
+    ("simulate", REF_INI, [], "reference.master_seed", True),
+    ("simulate", GAUSS_INI, [], "experiment.law.d", True),
+    ("simulate", GAUSS_INI, _LADDER, "experiment.law.c", False),
+    ("simulate", GAUSS_INI, _LADDER, "experiment.law.k0", True),
+    ("simulate", REF_INI, [], "reference.law.d", True),
+    ("simulate", REF_INI, [], "experiment.scheme.n0", True),
+    ("simulate", REF_INI, ["experiment.scheme.family=sqrt_n_polylog"],
+     "experiment.scheme.q", False),
+    ("simulate", REF_INI, ["experiment.scheme.family=table"],
+     "experiment.scheme.levels", False),
+    ("simulate", REF_INI, ["reference.scheme.family=sqrt_n"], "reference.scheme.n0", True),
+    ("validate", GAUSS_INI, [], "experiment.d", True),
+    ("validate", GAUSS_INI, _LADDER, "experiment.law.c", False),
+    ("validate", GAUSS_INI, ["experiment.scheme.family=sqrt_n"], "experiment.scheme.n0", True),
+    ("shift-experiment", SHIFT_INI, [], "experiment.law.c", False),
+    ("shift-experiment", SHIFT_INI, [], "shift.n_grid", True),
+    ("tightness-probe", PROBE_INI, [], "probe.horizons", True),
+    ("tightness-probe", PROBE_INI, [], "probe.y_grid", False),
+    ("integral-test", None, [], "integral.a", False),
+    ("integral-test", None, [], "integral.b", False),
+    ("integral-test", None, [], "integral.d", True),
+    ("integral-test", None, [], "integral.n_max", True),
+    ("tail-bounds", None, [], "tails.sigmas", False),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, extra, key, whole", _NUMERIC_KEYS,
+    ids=[f"{row[0]}-{row[3]}" for row in _NUMERIC_KEYS],
+)
+def test_every_numeric_key_rejects_what_is_not_its_number(
+    tmp_path, capsys, command, text, extra, key, whole
+):
+    bad = ("2.5", "abc", "nan", "inf") if whole else ("abc", "nan", "inf")
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if text is not None:
+        args += ["--config", _write(tmp_path, "c.ini", text)]
+    for item in extra:
+        args += ["--set", item]
+    for value in bad:
+        assert main([*args, "--set", f"{key}={value}"]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"key '{key.rsplit('.', 1)[1]}'" in err
+        assert ("whole" in err) == (whole and value == "2.5"), err
+        assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "item, field, want",
+    [
+        ("integral.d=2.0", "d", 2),
+        ("integral.d=2e0", "d", 2),
+        ("integral.n_max=100000", "command", "integral-test"),
+        ("integral.n_max=1e5", "command", "integral-test"),
+        ("integral.n_max=100000.0", "command", "integral-test"),
+    ],
+)
+def test_integral_whole_keys_accept_every_spelling(tmp_path, item, field, want):
+    out = tmp_path / "out"
+    assert main(["integral-test", "--out", str(out), "--set", "integral.n_max=1e5",
+                 "--set", item]) == 0
+    assert _summaries(out)[-1][field] == want
+
+
+def test_shift_grid_accepts_float_spellings(tmp_path):
+    shift = _write(tmp_path, "s.ini", SHIFT_INI)
+    out = tmp_path / "out"
+    assert main(["shift-experiment", "--config", shift, "--out", str(out),
+                 "--set", "shift.n_grid=1e4,100000000.0"]) == 0
+    assert [row["n"] for row in _summaries(out)[-1]["driver"]] == [10**4, 10**8]
 
 
 def test_usage_error_exits_2():

@@ -23,6 +23,7 @@ from lilmax.harness import (
     experiment_summary,
     ks_one_sample,
     ks_two_sample,
+    law_from_mapping,
     load_config_parser,
     read_records_csv,
     record_row,
@@ -30,8 +31,11 @@ from lilmax.harness import (
     replication_seed,
     run_and_persist,
     run_experiment,
+    scheme_from_mapping,
     write_records_csv,
 )
+from lilmax import models as M
+from lilmax import truncation as T
 from lilmax.limits import GumbelLaw
 from lilmax.models import gaussian_iso, rademacher_product
 from lilmax.truncation import GammaSequence, sqrt_n
@@ -208,6 +212,118 @@ def test_config_dataclass_validation():
     # normalizer is built, not at the first replication
     with pytest.raises(ConfigError, match="d = 1, got d = 2"):
         _cfg(mode="feller", scheme=sqrt_n(), law=gaussian_iso(2))
+
+
+def test_law_id_and_mapping_roundtrip():
+    laws = [
+        M.gaussian_iso(1), M.gaussian_iso(3), M.rademacher_product(1),
+        M.rademacher_product(4), M.uniform_cube(1), M.uniform_cube(2),
+        M.uniform_cube(5), M.atom_ladder(0.5, 2, d=1),
+        M.atom_ladder(0.5, 1, d=2, direction_mode="axes"), M.atom_ladder_fat(2, d=3),
+    ]
+    for law in laws:
+        assert M.law_id(law)
+        mapping = {"family": law.family, "d": str(law.d)}
+        if law.family.startswith("atom_ladder"):
+            mapping.update(
+                c=str(law.c), k0=str(law.k0), direction_mode=law.direction_mode
+            )
+        assert law_from_mapping(mapping) == law
+    with pytest.raises(ValueError):
+        law_from_mapping({"d": "2"})
+    with pytest.raises(ValueError):
+        law_from_mapping({"family": "levy"})
+
+
+def test_scheme_mapping_roundtrip():
+    cases = [
+        ({"family": "sqrt_n", "n0": "1"}, T.sqrt_n()),
+        ({"family": "sqrt_n", "n0": "7"}, T.sqrt_n(7)),
+        ({"family": "sqrt_n_invLL5", "n0": "308"}, T.sqrt_n_invLL5()),
+        ({"family": "sqrt_n_invLL5", "n0": "5"}, T.sqrt_n_invLL5(5)),
+        ({"family": "sqrt_n_polylog", "q": "-2.5", "n0": "44"}, T.sqrt_n_polylog(-2.5)),
+        ({"family": "sqrt_n_polylog", "q": "0.75"}, T.sqrt_n_polylog(0.75, 1)),
+        ({"family": "table", "levels": "1.5,2.5,3.5", "n0": "2"},
+         T.table_scheme([1.5, 2.5, 3.5], n0=2)),
+        ({"family": "table", "levels": "1.5, 2.5,"}, T.table_scheme([1.5, 2.5], n0=1)),
+    ]
+    for mapping, want in cases:
+        assert scheme_from_mapping(mapping) == want
+    assert scheme_from_mapping({}) == T.sqrt_n()
+    with pytest.raises(ValueError):
+        scheme_from_mapping({"family": "exp_n"})
+
+
+def test_table_levels_must_be_finite():
+    # NaN compares False against everything, so the order and sign checks
+    # alone let it through; 1e400 parses to inf
+    for levels in ("nan,1,2", "1,nan", "1e400", "1,2,inf"):
+        with pytest.raises(ValueError, match="finite"):
+            scheme_from_mapping({"family": "table", "levels": levels})
+
+
+# (dotted key, value, spellings): every spelling of a whole-number key must
+# read as the same int, at the horizon, seed or index a config would use
+_WHOLE_SPELLINGS = [
+    ("experiment.n", 100000, ("100000", "1e5", "100000.0")),
+    ("experiment.replications", 2, ("2", "2e0", "2.0")),
+    ("experiment.master_seed", 100000, ("100000", "1e5", "100000.0")),
+    ("experiment.d", 2, ("2", "2e0", "2.0")),
+    ("experiment.law.d", 1, ("1", "1e0", "1.0")),
+    ("experiment.law.k0", 3, ("3", "3e0", "3.0")),
+    ("experiment.scheme.n0", 100, ("100", "1e2", "100.0")),
+    ("reference.n", 100000, ("100000", "1e5", "100000.0")),
+    ("reference.replications", 2, ("2", "2e0", "2.0")),
+    ("reference.master_seed", 100000, ("100000", "1e5", "100000.0")),
+    ("reference.d", 2, ("2", "2e0", "2.0")),
+]
+
+
+def _read_both(path, *overrides):
+    cp = load_config_parser(str(path), ["experiment.law.family=atom_ladder", *overrides])
+    cfg = experiment_from_parser(cp)
+    return cfg, reference_from_parser(cp, cfg)
+
+
+@pytest.mark.parametrize("key, want, spellings", _WHOLE_SPELLINGS,
+                         ids=[row[0] for row in _WHOLE_SPELLINGS])
+def test_whole_number_keys_accept_every_spelling(tmp_path, key, want, spellings):
+    path = tmp_path / "demo.ini"
+    path.write_text(BASIC_INI.replace("d = 1\n", ""), encoding="utf-8")
+    section, field = key.rsplit(".", 1)
+    for text in spellings:
+        cfg, ref = _read_both(path, f"{key}={text}")
+        obj = {"experiment": cfg, "reference": ref, "experiment.law": cfg.law,
+               "experiment.scheme": cfg.scheme}[section]
+        got = getattr(obj, field)
+        assert got == want and type(got) is int, (key, text)
+
+
+def test_master_seed_stays_exact_past_2_53(tmp_path):
+    path = tmp_path / "demo.ini"
+    path.write_text(BASIC_INI, encoding="utf-8")
+    seed = "18446744073709551615"
+    cp = load_config_parser(str(path), [f"experiment.master_seed={seed}"])
+    assert experiment_from_parser(cp).master_seed == 2**64 - 1
+    cp = load_config_parser(str(path), [f"reference.master_seed={seed}"])
+    assert reference_from_parser(cp, experiment_from_parser(cp)).master_seed == 2**64 - 1
+
+
+def test_reference_inherits_what_it_does_not_set(tmp_path):
+    path = tmp_path / "demo.ini"
+    path.write_text(BASIC_INI, encoding="utf-8")
+    cp = load_config_parser(str(path), ["experiment.scheme.n0=7"])
+    cfg = experiment_from_parser(cp)
+    ref = reference_from_parser(cp, cfg)
+    assert (ref.scheme, ref.mode, ref.n, ref.replications) == (
+        cfg.scheme, cfg.mode, cfg.n, cfg.replications)
+    cp = load_config_parser(str(path), ["reference.scheme.family=sqrt_n_invLL5",
+                                        "reference.mode=feller", "reference.n=300"])
+    ref = reference_from_parser(cp, experiment_from_parser(cp))
+    assert (ref.scheme, ref.mode, ref.n) == (T.sqrt_n_invLL5(), "feller", 300)
+    path.write_text(BASIC_INI.split("[reference]")[0], encoding="utf-8")
+    cp = load_config_parser(str(path))
+    assert reference_from_parser(cp, experiment_from_parser(cp)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -447,18 +447,3 @@ def test_law_validation_errors():
         M.radial_profile(M.gaussian_iso(1), -1.0)
     with pytest.raises(ValueError):
         M.prob_tail(M.gaussian_iso(1), -0.5)
-
-
-def test_law_id_and_mapping_roundtrip():
-    for law in ALL_LAWS:
-        assert M.law_id(law)
-        mapping = {"family": law.family, "d": str(law.d)}
-        if law.family.startswith("atom_ladder"):
-            mapping.update(
-                c=str(law.c), k0=str(law.k0), direction_mode=law.direction_mode
-            )
-        assert M.law_from_mapping(mapping) == law
-    with pytest.raises(ValueError):
-        M.law_from_mapping({"d": "2"})
-    with pytest.raises(ValueError):
-        M.law_from_mapping({"family": "levy"})

@@ -68,12 +68,18 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         T.table_scheme([-1.0, 2.0])
     # NaN compares False against everything, so the order and sign checks
-    # alone let it through; 1e400 parses to inf
-    for levels in ("nan,1,2", "1,nan", "1e400", "1,2,inf"):
+    # alone would let it through
+    for levels in ([math.nan, 1.0, 2.0], [1.0, math.nan], [math.inf], [1.0, 2.0, math.inf]):
         with pytest.raises(ValueError, match="finite"):
-            T.scheme_from_mapping({"family": "table", "levels": levels})
+            T.table_scheme(levels)
     with pytest.raises(ValueError):
         T.sqrt_n_polylog(25.0)
+    # abs(nan) > 20 is False, so a range check alone would let it through
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="polylog exponent"):
+            T.sqrt_n_polylog(q)
+        with pytest.raises(ValueError, match="polylog exponent"):
+            T.TruncationScheme(family="sqrt_n_polylog", q=q)
     with pytest.raises(ValueError):
         T.TruncationScheme(family="sqrt_n", n0=0)
 
@@ -290,6 +296,62 @@ def test_default_n0_values():
     assert T.GammaSequence(M.gaussian_iso(1), T.sqrt_n_invLL5(), 10**5).n0 == 1
 
 
+def _scalar_eigenvalue_floor_index(law, scheme, n_max):
+    """The eigenvalue clause as one profile call per index, the reference
+    for the blocked scan."""
+    for n in range(1, n_max + 1):
+        a = float(M.radial_profile(law, T.c_level(scheme, n)))
+        if math.sqrt(max(a, 0.0)) >= T.LAMBDA_FLOOR:
+            return n
+    return None
+
+
+_CLAUSE_LAWS = [
+    M.gaussian_iso(1), M.gaussian_iso(3), M.gaussian_iso(8),
+    M.rademacher_product(1), M.rademacher_product(4), M.rademacher_product(8),
+    M.uniform_cube(1), M.uniform_cube(2), M.uniform_cube(8),
+    M.atom_ladder(0.5, 2, d=1), M.atom_ladder(0.5, 1, d=2, direction_mode="axes"),
+    M.atom_ladder_fat(2, d=1), M.atom_ladder_fat(2, d=3),
+]
+_CLAUSE_SCHEMES = [
+    T.sqrt_n(), T.sqrt_n(7), T.sqrt_n_invLL5(), T.sqrt_n_invLL5(1),
+    T.sqrt_n_polylog(1.0), T.sqrt_n_polylog(-2.5), T.sqrt_n_polylog(-20.0, 1),
+]
+
+
+@pytest.mark.parametrize("law", _CLAUSE_LAWS, ids=M.law_id)
+def test_eigenvalue_clause_matches_scalar_loop(law):
+    n_max = 3000
+    for scheme in _CLAUSE_SCHEMES:
+        want = _scalar_eigenvalue_floor_index(law, scheme, n_max)
+        if want is None:
+            with pytest.raises(NearSingularError, match="no index up to 3000"):
+                T._eigenvalue_floor_index(law, scheme, n_max)
+        else:
+            assert T._eigenvalue_floor_index(law, scheme, n_max) == want, T.scheme_id(scheme)
+
+
+def test_eigenvalue_clause_scans_in_growing_blocks(monkeypatch):
+    calls = []
+    profile = T.radial_profile
+
+    def counted(law, t):
+        calls.append(np.size(t))
+        return profile(law, t)
+
+    monkeypatch.setattr(T, "radial_profile", counted)
+    # a floor met at n = 1 costs one call of one index
+    assert T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 10**5).n0 == 12
+    assert calls[0] == 1
+    # a floor never met: about log2(n) calls, not one per index
+    n = 10**6
+    for scheme in (T.table_scheme([0.01] * n), T.sqrt_n_polylog(-20.0)):
+        calls.clear()
+        with pytest.raises(NearSingularError, match=f"no index up to {n} reaches"):
+            T.GammaSequence(M.gaussian_iso(1), scheme, n)
+        assert len(calls) <= 40 and sum(calls) == n
+
+
 def test_ladder_jump_bookkeeping():
     gs = T.GammaSequence(M.atom_ladder(0.5, 2, d=1), T.sqrt_n(), 10**6)
     # early window is clean from n0 = 3 on; the horizon sup documents the
@@ -477,22 +539,3 @@ def test_gamma_bounds_and_errors():
 # ---------------------------------------------------------------------------
 # config mappings
 # ---------------------------------------------------------------------------
-
-
-def test_scheme_mapping_roundtrip():
-    cases = [
-        ({"family": "sqrt_n", "n0": "1"}, T.sqrt_n()),
-        ({"family": "sqrt_n", "n0": "7"}, T.sqrt_n(7)),
-        ({"family": "sqrt_n_invLL5", "n0": "308"}, T.sqrt_n_invLL5()),
-        ({"family": "sqrt_n_invLL5", "n0": "5"}, T.sqrt_n_invLL5(5)),
-        ({"family": "sqrt_n_polylog", "q": "-2.5", "n0": "44"}, T.sqrt_n_polylog(-2.5)),
-        ({"family": "sqrt_n_polylog", "q": "0.75"}, T.sqrt_n_polylog(0.75, 1)),
-        ({"family": "table", "levels": "1.5,2.5,3.5", "n0": "2"},
-         T.table_scheme([1.5, 2.5, 3.5], n0=2)),
-        ({"family": "table", "levels": "1.5, 2.5,"}, T.table_scheme([1.5, 2.5], n0=1)),
-    ]
-    for mapping, want in cases:
-        assert T.scheme_from_mapping(mapping) == want
-    assert T.scheme_from_mapping({}) == T.sqrt_n()
-    with pytest.raises(ValueError):
-        T.scheme_from_mapping({"family": "exp_n"})
