@@ -3,12 +3,14 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 14 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 16 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
-``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference) and
-``gaussian_d1.ini`` at d = 3, 4, 7, 8, which write 21 CSVs.  ``lilmax
+``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference),
+``gaussian_d1.ini`` at d = 3, 4, 7, 8, and ``gaussian_d1.ini`` in
+self_normalized mode with ``sqrt_n_invLL5`` and, on ``atom_ladder`` c = 0.5,
+with ``sqrt_n``, which write 23 CSVs.  ``lilmax
 shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
 ``tightness_fat.ini`` run the same way.  ``lilmax integral-test`` runs with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
@@ -58,6 +60,13 @@ SIMULATE = [
 ] + [
     (f"gauss_d{d}", "simulate", "gaussian_d1.ini", [f"experiment.d={d}"])
     for d in (3, 4, 7, 8)
+] + [
+    # self-normalized runs whose Gamma_k^-1 has thousands of spans, and one span not 1.0
+    ("selfnorm_invLL5_d1", "simulate", "gaussian_d1.ini",
+     ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n_invLL5"]),
+    ("selfnorm_ladder_d1", "simulate", "gaussian_d1.ini",
+     ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n",
+      "experiment.law.family=atom_ladder", "experiment.law.c=0.5"]),
 ]
 COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),

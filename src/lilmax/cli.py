@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -397,7 +398,17 @@ def cmd_validate(args) -> int:
     t_grid = np.geomspace(10.0, 1e6, 11)
     rows = []
     for name, sch in schemes.items():
-        rep = validate_growth_window(sch, n_grid)
+        grid = n_grid
+        if sch.family == "table":
+            # only the grid points whose level c_{n v n0} the table holds
+            grid = n_grid[np.maximum(n_grid, sch.n0) <= len(sch.levels)]
+            if len(grid) < 2:
+                need = max(sch.n0, math.ceil(n_grid[1]))
+                raise ConfigError(
+                    f"table scheme has {len(sch.levels)} levels; the growth-window "
+                    f"grid needs at least {need} to cover two of its points"
+                )
+        rep = validate_growth_window(sch, grid)
         rows.append({"check": f"growth window {name}", "result": rep.verdict})
         print(f"  growth window {name:<24s} {rep.verdict}")
     for which in ("small_o", "big_O"):

@@ -139,9 +139,32 @@ def apply_overrides(cp: configparser.ConfigParser, overrides: Sequence[str]) -> 
         cp.set(section, key.strip(), value.strip())
 
 
+# The keys a section may set, by the part of its name after the last dot; a
+# [reference] section sets the keys of [experiment].  The law and scheme sets
+# are unions over their families.
+KNOWN_KEYS = {
+    "experiment": ("name", "mode", "d", "n", "replications", "master_seed"),
+    "law": ("family", "d", "c", "k0", "direction_mode"),
+    "scheme": ("family", "n0", "q", "levels"),
+    "shift": ("n_grid",),
+    "probe": ("horizons", "y_grid"),
+    "integral": ("a", "b", "d", "n_max"),
+    "tails": ("sigmas",),
+}
+
+
 def read_section(cp: configparser.ConfigParser, name: str) -> dict:
-    """The keys of section [name], or an empty dict when it is absent."""
-    return dict(cp.items(name)) if cp.has_section(name) else {}
+    """The keys of section [name], or an empty dict when it is absent; a key
+    outside the section's ``KNOWN_KEYS`` is a config error."""
+    sec = dict(cp.items(name)) if cp.has_section(name) else {}
+    kind = name.rsplit(".", 1)[-1]
+    known = KNOWN_KEYS["experiment" if kind == "reference" else kind]
+    unknown = sorted(set(sec) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} in [{name}]; it takes {', '.join(known)}"
+        )
+    return sec
 
 
 def parse_number(text: str, whole: bool = False):
@@ -234,9 +257,15 @@ def scheme_from_mapping(m: dict) -> TruncationScheme:
 
 
 def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[TruncationScheme]:
-    """The scheme of [section.scheme]; None without a family or for ``none``."""
+    """The scheme of [section.scheme]; None for an absent section or family
+    ``none``, which may set no other key."""
     m = read_section(cp, f"{section}.scheme")
     if m.get("family", "none") == "none":
+        extra = sorted(set(m) - {"family"})
+        if extra:
+            raise ConfigError(
+                f"[{section}.scheme] sets {', '.join(extra)} but names no scheme family"
+            )
         return None
     return scheme_from_mapping(m)
 
@@ -320,17 +349,15 @@ def build_normalizer(cfg: ExperimentConfig) -> Optional[GammaSequence]:
     classical mode, which reads none and so ignores any scheme;
     ``run_experiment`` and ``replay`` both build it here.
 
-    The one table the mode divides by is built before this returns, so the
-    build counts as set-up and worker threads never race on it; the other
-    table is never built.
+    Feller's sqrt(B_k) table is built before this returns, so the build
+    counts as set-up and worker threads never race on it.  A self-normalized
+    sequence holds its spans from construction and builds nothing later.
     """
     if cfg.mode == "classical":
         return None
     gs = GammaSequence(cfg.law, cfg.scheme, n_max=cfg.n)
     if cfg.mode == "feller":
         gs.sqrt_feller_bn
-    else:
-        gs.inv_scales
     return gs
 
 

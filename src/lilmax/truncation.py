@@ -38,6 +38,7 @@ Two floors compose, both instances of the replace-c_n-by-c_{n v n0} device:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -252,12 +253,13 @@ class GammaSequence:
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
     held piecewise constant) beyond.  Construction runs the n0 rule, both
     jump diagnostics and the eigenvalue-floor check on the checkpoints, and
-    keeps only the checkpoint values.  Each n_max-long table is built on
-    first use: ``inv_scales`` (1/lambda(Gamma_n), read by self_normalized
-    mode) and ``sqrt_feller_bn`` (the feller denominators sqrt(B_k)).
-    ``harness.build_normalizer`` builds the one its mode reads before any
-    replication, so a run never builds the other, and worker threads share
-    the built one without locking.
+    keeps 1/lambda(Gamma_n) as spans: a first index and a value for each run
+    of equal held values (one span for uniform_cube under ``sqrt_n``, at
+    most one per checkpoint).  Self_normalized mode reads them through
+    ``inv_at`` and ``inv_apply`` and needs no n_max-long table.  The feller
+    denominators ``sqrt_feller_bn`` are the one table, built on first use;
+    ``harness.build_normalizer`` builds it before any replication, so worker
+    threads share it without locking.
     """
 
     def __init__(self, law: IncrementLaw, scheme: TruncationScheme, n_max: int):
@@ -289,9 +291,12 @@ class GammaSequence:
                 f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {scale[bad][0]:.3g} "
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
-        # each checkpoint's value is held up to the next checkpoint
-        self._held_inv = 1.0 / scale
-        self._held_for = np.diff(ns, append=self.n_max + 1)
+        # each checkpoint's value is held up to the next checkpoint; a span
+        # starts where the held value changes.  The first indices are a list
+        # for bisect, which is several times faster than a scalar searchsorted
+        inv = 1.0 / scale
+        first = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]])
+        self._span_start, self._span_inv = ns[first].tolist(), inv[first]
 
     def _default_n0(self, psi: np.ndarray) -> int:
         n_eig = _eigenvalue_floor_index(self.law, self.scheme, self.n_max)
@@ -302,29 +307,40 @@ class GammaSequence:
             return max(n_eig, int(np.argmax(ok)) + 1)
         return n_eig  # window clause unsatisfiable: eigenvalue clause decides
 
+    def inv_at(self, k: int) -> float:
+        """1/lambda(Gamma_k), the value of the span holding index k."""
+        return float(self._span_inv[bisect_right(self._span_start, k) - 1])
+
+    def _inv_over(self, ks: range) -> np.ndarray:
+        """1/lambda(Gamma_k) for k in ``ks``, expanded from the spans it covers."""
+        i = bisect_right(self._span_start, ks.start) - 1
+        j = bisect_right(self._span_start, ks.stop - 1)
+        ends = [ks.start, *self._span_start[i + 1 : j], ks.stop]
+        return np.repeat(self._span_inv[i:j], np.diff(ends))
+
     def inv_apply(self, ks: range, rows: np.ndarray) -> np.ndarray:
         """Rows Gamma_k^{-1} x for the unit-step index range ``ks``; (m, d) -> (m, d).
 
         Gamma_k is a scalar multiple of the identity, so each column is scaled
-        by a slice view of ``inv_scales`` (a broadcast over rows of length d
-        is slower).
+        by the range's values, expanded from only the spans it covers (a
+        broadcast over rows of length d is slower).
         """
         if not isinstance(ks, range) or ks.step != 1:
             raise ValueError("indices must be a unit-step range")
         if ks.start < 1 or ks.stop > self.n_max + 1:
             raise ValueError(f"indices outside 1..{self.n_max}")
-        inv = self.inv_scales[ks.start - 1 : ks.stop - 1]
+        inv = self._inv_over(ks)
         rows = np.asarray(rows, dtype=float)
         out = np.empty_like(rows)
         for j in range(rows.shape[1]):
             np.multiply(rows[:, j], inv, out=out[:, j])
         return out
 
-    @cached_property
+    @property
     def inv_scales(self) -> np.ndarray:
-        """Read-only 1/lambda(Gamma_k) for k = 1..n_max, the checkpoint
-        values held up to the next checkpoint."""
-        inv = np.repeat(self._held_inv, self._held_for)
+        """Read-only 1/lambda(Gamma_k) for k = 1..n_max, every span expanded;
+        no run path builds it."""
+        inv = self._inv_over(range(1, self.n_max + 1))
         inv.setflags(write=False)
         return inv
 

@@ -53,21 +53,22 @@ as slice views: sqrt(k) from ``_sqrt_k(n)`` (cached by n, so a call without
 a normalizer sequence needs nothing else) or sqrt(B_k) from
 ``GammaSequence.sqrt_feller_bn``.  Self-normalized mode scales rows by
 ``GammaSequence.inv_apply`` with the chunk's indices as a ``range``, which
-reads a slice of ``inv_scales``.  Elementwise square roots and products
-have the same bits however the arrays are sliced.  Each table is written
-once, in place, into its own 8n-byte output: ``_sqrt_k`` takes the root of
-a float ``arange`` in place, and sqrt(B_k) is summed in blocks and rooted
-in place.  So classical and feller runs hold one n-long table and
-self-normalized runs two (sqrt(k) and ``inv_scales``); a feller run never
-builds ``inv_scales``.
+expands only the spans of 1/lambda(Gamma_k) that the range covers, and its
+pruning bound reads one span's value through ``GammaSequence.inv_at``.
+Elementwise square roots and products have the same bits however the
+arrays are sliced or expanded.  Each table is written once, in place, into
+its own 8n-byte output: ``_sqrt_k`` takes the root of a float ``arange`` in
+place, and sqrt(B_k) is summed in blocks and rooted in place.  So every
+mode holds one n-long table: sqrt(k) in classical and self-normalized
+mode, sqrt(B_k) in feller mode.
 
 Chunk pruning
 -------------
 Write fl for correctly rounded IEEE arithmetic (monotone), u = 2^-53,
 den_k for the denominator and inv_k for 1/lambda(Gamma_k) (1 outside
-self-normalized mode).  Row k's ratio is fl(N'_k / den_k), where N'_k is
-``_row_norm`` of fl(S_k * inv_k).  Each block is cut into chunks of
-``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
+self-normalized mode, ``GammaSequence.inv_at(k)`` in it).  Row k's ratio is
+fl(N'_k / den_k), where N'_k is ``_row_norm`` of fl(S_k * inv_k).  Each
+block is cut into chunks of ``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
 T = max of the raw norms N_k = ``_row_norm``(S_k) over the chunk (computed
 for every row anyway), P = fl(T * inv_a) and
 
@@ -311,7 +312,6 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
     A chunk whose bound cannot beat the best so far is skipped (see "Chunk
     pruning" above); every row of every other chunk is evaluated.
     """
-    inv = None if gs is None else gs.inv_scales
     best = -np.inf
     best_k = 1
     for off, rows in _scan(traj):
@@ -319,7 +319,7 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
         starts = range(0, len(rows), CHUNK)
         for c, top in zip(starts, np.maximum.reduceat(norms, starts).tolist()):
             a = off + c  # row c holds S_{a+1}
-            scaled = top if inv is None else top * float(inv[a])
+            scaled = top if gs is None else top * gs.inv_at(a + 1)
             if SAFE_LO <= top <= SAFE_HI and scaled * SLACK / den[a] <= best:
                 continue
             e = min(c + CHUNK, len(rows))

@@ -546,6 +546,94 @@ def test_validate_reads_the_law_and_scheme_it_is_given(tmp_path, capsys):
     assert "disagrees" in capsys.readouterr().err
 
 
+def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
+    """The growth window runs on the grid points (100, 316.2, 1000, ...) the
+    table holds a level for, and needs two of them."""
+    out = tmp_path / "out"
+    table = ["--set", "experiment.scheme.family=table"]
+
+    def levels(n):
+        return ["--set", "experiment.scheme.levels=" + ",".join(
+            str(math.sqrt(k)) for k in range(1, n + 1))]
+
+    assert main(["validate", "--out", str(out), *table, *levels(3)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "table scheme has 3 levels" in err and "needs at least 317" in err
+    assert not (out / "summary.jsonl").exists()
+    assert main(["validate", "--out", str(out), *table, *levels(316)]) == 2
+    assert "has 316 levels" in capsys.readouterr().err
+    assert main(["validate", "--out", str(out), *table, *levels(2000),
+                 "--set", "experiment.scheme.n0=2001"]) == 2
+    assert "needs at least 2001" in capsys.readouterr().err
+    assert main(["validate", "--out", str(out), *table, *levels(317)]) == 0
+    assert main(["validate", "--out", str(out), *table, *levels(1000)]) == 0
+    rows = [_summaries(out)[i]["rows"][0] for i in (0, 1)]
+    assert [row["check"] for row in rows] == [
+        "growth window table[317]-n01", "growth window table[1000]-n01"]
+    assert [row["result"] for row in rows] == ["PASS", "PASS"]  # c_n = sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "command, ini, items, message",
+    [
+        ("simulate", "gauss", ["experiment.repls=3"], "'repls' in [experiment]"),
+        ("simulate", "ref", ["reference.nn=3"], "'nn' in [reference]"),
+        ("simulate", "gauss", ["experiment.law.dd=3"], "'dd' in [experiment.law]"),
+        ("simulate", "ref", ["reference.law.family=gaussian_iso", "reference.law.k=2"],
+         "'k' in [reference.law]"),
+        ("simulate", "ref", ["experiment.scheme.n00=3"], "'n00' in [experiment.scheme]"),
+        ("replay", "ref", ["reference.scheme.family=sqrt_n", "reference.scheme.level=2"],
+         "'level' in [reference.scheme]"),
+        ("validate", None, ["experiment.law.family=gaussian_iso", "experiment.law.dd=3"],
+         "'dd' in [experiment.law]"),
+        ("validate", None, ["experiment.scheme.family=sqrt_n", "experiment.scheme.q0=1"],
+         "'q0' in [experiment.scheme]"),
+        ("shift-experiment", "shift", ["shift.grid=100"], "'grid' in [shift]"),
+        ("tightness-probe", "probe", ["probe.horizon=1000"], "'horizon' in [probe]"),
+        ("integral-test", None, ["integral.nmax=1e5"], "'nmax' in [integral]"),
+        ("tail-bounds", None, ["tails.sigma=0.5"], "'sigma' in [tails]"),
+        ("simulate", "gauss", ["experiment.scheme.n0=2.5"],
+         "[experiment.scheme] sets n0 but names no scheme family"),
+        ("simulate", "ref", ["experiment.scheme.family=none", "experiment.scheme.q=1"],
+         "[experiment.scheme] sets q but names no scheme family"),
+        ("validate", None, ["experiment.scheme.levels=1,2"],
+         "[experiment.scheme] sets levels but names no scheme family"),
+    ],
+)
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, ini, items, message):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if ini is not None:
+        text = {"gauss": GAUSS_INI, "ref": REF_INI, "shift": SHIFT_INI, "probe": PROBE_INI}[ini]
+        args += ["--config", _write(tmp_path, "c.ini", text)]
+    for item in items:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (out / "summary.jsonl").exists()
+
+
+def test_sections_a_command_does_not_read_stay_unchecked(tmp_path):
+    out = tmp_path / "out"
+    # simulate reads no [shift] section, tail-bounds no [experiment]
+    shift = _write(tmp_path, "s.ini", SHIFT_INI)
+    assert main(["simulate", "--config", shift, "--out", str(out),
+                 "--set", "shift.bogus=1", "--set", "experiment.replications=2"]) == 0
+    assert main(["tail-bounds", "--out", str(out), "--set", "experiment.bogus=1"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_bundled_configs_set_only_known_keys(name):
+    from lilmax.harness import load_config_parser, read_section
+
+    cp = load_config_parser(os.path.join(CONFIGS, name))
+    assert cp.sections()
+    for section in cp.sections():
+        read_section(cp, section)
+
+
 _LADDER = ["experiment.law.family=atom_ladder"]
 
 # every numeric key a config can hold: (command, config text, extra

@@ -470,12 +470,21 @@ def test_build_normalizer():
 
 def test_build_normalizer_builds_only_its_mode_table():
     law = gaussian_iso(1)
-    feller = build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="feller"))
+    feller = build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="feller"))  # loads scipy.special
     assert "sqrt_feller_bn" in vars(feller)
-    assert "inv_scales" not in vars(feller)
     selfnorm = build_normalizer(_cfg(law=law, scheme=sqrt_n(), mode="self_normalized"))
-    assert "inv_scales" in vars(selfnorm)
     assert "sqrt_feller_bn" not in vars(selfnorm)
+    # a self-normalized sequence holds Gamma_k^{-1} as spans, not as an
+    # n-long table (8 MB here; the build peaked at 7.85 MiB when it held one)
+    for scheme in (sqrt_n(), T.sqrt_n_invLL5()):
+        cfg = _cfg(law=law, scheme=scheme, mode="self_normalized", n=10**6)
+        tracemalloc.start()
+        try:
+            build_normalizer(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (scheme, peak)
 
 
 def test_feller_build_normalizer_holds_one_table():

@@ -460,6 +460,32 @@ def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
             gs.inv_apply(bad, rows[:4])
 
 
+@pytest.mark.parametrize(
+    "law, scheme",
+    [(M.gaussian_iso(1), T.sqrt_n_invLL5()), (M.gaussian_iso(2), T.sqrt_n()),
+     (M.uniform_cube(2), T.sqrt_n()), (M.atom_ladder(), T.sqrt_n())],
+)
+def test_inv_at_and_inv_apply_read_the_spans(law, scheme):
+    """Each index's scalar and each range's expansion of the spans agree with
+    ``inv_scales``, which the dense test and GAMMA_ORACLE pin independently:
+    every index, and ranges that start or stop on a span's first index, just
+    past it, or on the exact region's edge."""
+    n_max = 123457
+    gs = T.GammaSequence(law, scheme, n_max)
+    inv = gs.inv_scales
+    assert np.array_equal([gs.inv_at(k) for k in range(1, n_max + 1)], inv)
+    starts = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]]) + 1
+    rng = np.random.default_rng(7)
+    picks = rng.choice(starts, size=min(len(starts), 40), replace=False)
+    edges = sorted({1, 2, T.EXACT_LIMIT, T.EXACT_LIMIT + 1, n_max, n_max + 1,
+                    *picks.tolist(), *(picks + 1).tolist()})
+    ones = np.ones((n_max, 2))
+    for lo, hi in zip(edges, edges[1:]):
+        for ks in (range(lo, hi), range(lo, lo + 1), range(1, hi)):
+            want = np.repeat(inv[ks.start - 1 : ks.stop - 1, None], 2, axis=1)
+            assert np.array_equal(gs.inv_apply(ks, ones[: len(ks)]), want)
+
+
 # Frozen before GammaSequence was trimmed to what its callers read: n0, both
 # jump diagnostics by repr, and SHA-256 of the bytes of ``inv_scales`` and (for
 # d = 1) ``sqrt_feller_bn`` at n_max = 123457, past the exact region and not a

@@ -17,8 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilmax.iterlog import iterlog, normalizers
-from lilmax.models import gaussian_iso, law_id, rademacher_product, sample, uniform_cube
-from lilmax.truncation import GammaSequence, feller_bn_prefix, sqrt_n, table_scheme
+from lilmax.models import (
+    atom_ladder,
+    gaussian_iso,
+    law_id,
+    rademacher_product,
+    sample,
+    uniform_cube,
+)
+from lilmax.truncation import (
+    GammaSequence,
+    feller_bn_prefix,
+    scheme_id,
+    sqrt_n,
+    sqrt_n_invLL5,
+    table_scheme,
+)
 from lilmax import walkstats
 from lilmax.walkstats import (
     BLOCK,
@@ -46,6 +60,9 @@ class _ScaledGamma:
 
     def inv_apply(self, ns, rows):
         return np.asarray(rows, dtype=float) / self._lam
+
+    def inv_at(self, k):
+        return 1.0 / self._lam
 
     @property
     def inv_scales(self):
@@ -252,12 +269,42 @@ PRUNE_CASES = (
 )
 
 
-@pytest.mark.parametrize(
-    "mode, law", PRUNE_CASES, ids=lambda v: v if isinstance(v, str) else law_id(v)
+def _step_table(n: int, steps):
+    """A table scheme over 1..n whose level is ``c`` from each (k, c) in ``steps`` on."""
+    levels = np.empty(n)
+    for k, c in steps:
+        levels[k - 1 :] = c
+    return table_scheme(levels)
+
+
+# Self-normalized cases whose Gamma_k^{-1} has more than one span, or one
+# span that is not 1.0.  The table's levels step at chunk and block edges:
+# through 10^4 a span starts at its step; past it, at the first checkpoint at
+# or after the step, and 7 * CHUNK = 28672 is a checkpoint at this horizon.
+SPAN_CASES = (
+    [("self_normalized", gaussian_iso(d), sqrt_n_invLL5()) for d in (1, 2)]
+    + [("self_normalized", atom_ladder(0.5, d=d), sqrt_n()) for d in (1, 2)]
+    + [
+        ("self_normalized", gaussian_iso(2), _step_table(2 * BLOCK + 1234, [
+            (1, 1.0), (walkstats.CHUNK, 1.25), (walkstats.CHUNK + 1, 1.5),
+            (2 * walkstats.CHUNK + 1, 2.0), (7 * walkstats.CHUNK, 2.5),
+            (7 * walkstats.CHUNK + 1, 3.0), (BLOCK + 1, 3.5), (2 * BLOCK + 1, 4.0),
+        ]))
+    ]
 )
-def test_pruned_reducer_matches_every_row(mode, law):
+
+
+@pytest.mark.parametrize(
+    "mode, law, scheme",
+    [pytest.param(mode, law, sqrt_n(), id=f"{mode}-{law_id(law)}") for mode, law in PRUNE_CASES]
+    + [
+        pytest.param(mode, law, scheme, id=f"{mode}-{law_id(law)}-{scheme_id(scheme)}")
+        for mode, law, scheme in SPAN_CASES
+    ],
+)
+def test_pruned_reducer_matches_every_row(mode, law, scheme):
     for seed in (1, 2, 3):
-        _assert_matches_every_row(trajectory(law, 2 * BLOCK + 1234, seed), mode)
+        _assert_matches_every_row(trajectory(law, 2 * BLOCK + 1234, seed), mode, scheme)
 
 
 @pytest.mark.parametrize(
