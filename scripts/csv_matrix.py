@@ -3,14 +3,14 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 16 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 17 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
 ``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference),
 ``gaussian_d1.ini`` at d = 3, 4, 7, 8, and ``gaussian_d1.ini`` in
 self_normalized mode with ``sqrt_n_invLL5`` and, on ``atom_ladder`` c = 0.5,
-with ``sqrt_n``, which write 23 CSVs.  ``lilmax
+with ``sqrt_n`` at d = 1 and d = 2, which write 24 CSVs.  ``lilmax
 shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
 ``tightness_fat.ini`` run the same way.  ``lilmax integral-test`` runs with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
@@ -22,14 +22,18 @@ Every run must exit 0 and match the parent in its CSV bytes, its standard
 output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
 ``integral-test`` summary holds the probe's exact partial sum at n_max and
 its Euler-Maclaurin check to full precision.  On the working tree, ``lilmax
-replay`` then re-executes one replication of each simulate config.  The
-script prints one line per run and exits 1 on any difference, failed run or
-replay mismatch.  Standard library only.
+replay`` then re-executes one replication of each simulate config, whether
+or not its bytes differ.  The script prints one line per run and exits 1 on
+any difference, failed run or replay mismatch.  A CSV whose bytes differ is
+reported with the rows and columns that differ and the largest |change| in
+``value``; a summary, with the keys that differ.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -64,9 +68,11 @@ SIMULATE = [
     # self-normalized runs whose Gamma_k^-1 has thousands of spans, and one span not 1.0
     ("selfnorm_invLL5_d1", "simulate", "gaussian_d1.ini",
      ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n_invLL5"]),
-    ("selfnorm_ladder_d1", "simulate", "gaussian_d1.ini",
+] + [
+    (f"selfnorm_ladder_d{d}", "simulate", "gaussian_d1.ini",
      ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n",
-      "experiment.law.family=atom_ladder", "experiment.law.c=0.5"]),
+      "experiment.law.family=atom_ladder", "experiment.law.c=0.5", f"experiment.d={d}"])
+    for d in (1, 2)
 ]
 COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
@@ -111,6 +117,23 @@ def outputs(out: str) -> tuple[dict, list]:
     return csvs, summaries
 
 
+def csv_diff(name: str, old: bytes, new: bytes) -> str:
+    """The rows and columns in which two CSVs differ, and the largest
+    |change| in their ``value`` column if they have one."""
+    a, b = (list(csv.reader(io.StringIO(x.decode("utf-8")))) for x in (old, new))
+    if a[:1] != b[:1] or len(a) != len(b):
+        return f"{name}: header or row count differs"
+    head = a[0]
+    rows = [(r, q) for r, q in zip(a[1:], b[1:]) if r != q]
+    cols = [c for j, c in enumerate(head) if any(r[j] != q[j] for r, q in rows)]
+    said = f"{name}: {len(rows)}/{len(a) - 1} rows differ in {','.join(cols)}"
+    if "value" in head:
+        j = head.index("value")
+        dmax = max((abs(float(q[j]) - float(r[j])) for r, q in rows), default=0.0)
+        said += f", max |dvalue| {dmax:.2g}"
+    return said
+
+
 def compare(run: tuple, trees: dict, work: str) -> tuple[list, int]:
     """Differences between the two sides' outputs of one run, and its CSV count."""
     name, command, config, sets = run
@@ -125,9 +148,14 @@ def compare(run: tuple, trees: dict, work: str) -> tuple[list, int]:
     problems = []
     if sorted(p_csv) != sorted(c_csv):
         problems.append(f"CSV files {sorted(p_csv)} -> {sorted(c_csv)}")
-    problems += [f"{f} bytes differ" for f in sorted(p_csv) if f in c_csv and c_csv[f] != p_csv[f]]
+    problems += [csv_diff(f, p_csv[f], c_csv[f])
+                 for f in sorted(p_csv) if f in c_csv and c_csv[f] != p_csv[f]]
     if p_sum != c_sum:
-        problems.append("summary.jsonl differs beyond runtime_seconds")
+        keys = sorted({k for p, c in zip(p_sum, c_sum) for k in p.keys() | c.keys()
+                       if p.get(k) != c.get(k)})
+        if len(p_sum) != len(c_sum):
+            keys.append("line count")
+        problems.append(f"summary.jsonl differs in {','.join(keys)}")
     if p_out != c_out:
         problems.append("stdout differs")
     return problems, len(c_csv)
@@ -157,9 +185,9 @@ def main(argv=None) -> int:
         print(f"parent {parent_rev}, change = working tree {ROOT}")
         for run in SIMULATE + COMMANDS:
             problems, n_csv = compare(run, trees, tmp)
-            if run in SIMULATE:
+            if run in SIMULATE and n_csv:
                 csv_total += n_csv
-                problems = problems or replay(run, tmp)
+                problems += replay(run, tmp)
             failures += bool(problems)
             status = "; ".join(problems) if problems else f"same ({n_csv} CSVs)"
             print(f"{'FAIL' if problems else 'ok'}  {run[0]:<24s} {status}", flush=True)

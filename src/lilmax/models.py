@@ -459,6 +459,8 @@ def tail_second_moment(law: IncrementLaw, t) -> np.ndarray | float:
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(arr < 0.0):
+        raise ValueError("truncation radius must be nonnegative")
     fam = law.family
     if fam in ("atom_ladder", "atom_ladder_fat"):
         out = _ladder_radius_tail_geq(law, arr)

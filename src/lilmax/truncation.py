@@ -292,9 +292,12 @@ class GammaSequence:
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
         # each checkpoint's value is held up to the next checkpoint; a span
-        # starts where the held value changes.  The first indices are a list
-        # for bisect, which is several times faster than a scalar searchsorted
-        inv = 1.0 / scale
+        # starts where the held value changes.  The values are held
+        # nonincreasing, as Gamma's Loewner order makes them, so a rounding
+        # wobble in the profile cannot break the reducer's pruning bound.  The
+        # first indices are a list for bisect, which is several times faster
+        # than a scalar searchsorted
+        inv = np.minimum.accumulate(1.0 / scale)
         first = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]])
         self._span_start, self._span_inv = ns[first].tolist(), inv[first]
 
@@ -323,7 +326,9 @@ class GammaSequence:
 
         Gamma_k is a scalar multiple of the identity, so each column is scaled
         by the range's values, expanded from only the spans it covers (a
-        broadcast over rows of length d is slower).
+        broadcast over rows of length d is slower).  The same call scales a
+        column of norms |x| to |Gamma_k^{-1} x|, given as an (m, 1) array:
+        this is how the reducer uses it.
         """
         if not isinstance(ks, range) or ks.step != 1:
             raise ValueError("indices must be a unit-step range")

@@ -51,70 +51,46 @@ Denominators
 The reducer divides by a read-only table built once per horizon and read
 as slice views: sqrt(k) from ``_sqrt_k(n)`` (cached by n, so a call without
 a normalizer sequence needs nothing else) or sqrt(B_k) from
-``GammaSequence.sqrt_feller_bn``.  Self-normalized mode scales rows by
-``GammaSequence.inv_apply`` with the chunk's indices as a ``range``, which
-expands only the spans of 1/lambda(Gamma_k) that the range covers, and its
-pruning bound reads one span's value through ``GammaSequence.inv_at``.
-Elementwise square roots and products have the same bits however the
-arrays are sliced or expanded.  Each table is written once, in place, into
-its own 8n-byte output: ``_sqrt_k`` takes the root of a float ``arange`` in
-place, and sqrt(B_k) is summed in blocks and rooted in place.  So every
-mode holds one n-long table: sqrt(k) in classical and self-normalized
-mode, sqrt(B_k) in feller mode.
+``GammaSequence.sqrt_feller_bn``.  Every catalogue law is isotropic, so
+Gamma_k = lambda_k I and |Gamma_k^{-1} S_k| = |S_k| / lambda_k: the
+reducer works on row norms in every mode.  Self-normalized mode scales a
+chunk's norms, as one column, by ``GammaSequence.inv_apply`` with the
+chunk's indices as a ``range``, which expands only the spans of
+1/lambda_k that the range covers, and its pruning bound reads one span's
+value through ``GammaSequence.inv_at``.  Elementwise square roots and
+products have the same bits however the arrays are sliced or expanded.
+Each table is written once, in place, into its own 8n-byte output:
+``_sqrt_k`` takes the root of a float ``arange`` in place, and sqrt(B_k) is
+summed in blocks and rooted in place.  So every mode holds one n-long
+table: sqrt(k) in classical and self-normalized mode, sqrt(B_k) in feller
+mode.
 
 Chunk pruning
 -------------
-Write fl for correctly rounded IEEE arithmetic (monotone), u = 2^-53,
-den_k for the denominator and inv_k for 1/lambda(Gamma_k) (1 outside
+Write fl for correctly rounded IEEE arithmetic, N_k = ``_row_norm``(S_k),
+den_k for the denominator and inv_k for 1/lambda_k (1 outside
 self-normalized mode, ``GammaSequence.inv_at(k)`` in it).  Row k's ratio is
-fl(N'_k / den_k), where N'_k is ``_row_norm`` of fl(S_k * inv_k).  Each
-block is cut into chunks of ``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
-T = max of the raw norms N_k = ``_row_norm``(S_k) over the chunk (computed
-for every row anyway), P = fl(T * inv_a) and
+fl(fl(N_k * inv_k) / den_k), the product left out when inv_k is 1.  Each
+block is cut into chunks of ``CHUNK`` rows.  For a chunk whose first row is
+k = a + 1 (0-based a), let T be the largest N_k in the chunk (every norm is
+computed anyway) and
 
-    bound = fl(fl(P * SLACK) / den_a).
+    bound = fl(fl(T * inv_{a+1}) / den_{a+1}).
 
-The chunk is skipped when SAFE_LO <= T <= SAFE_HI and bound <= best so far;
-every other chunk is evaluated with the same elementwise operations as a
-reducer that evaluates every row, and the update stays a strict ``>``.  A
-skip is exact if every ratio in the chunk is <= bound, since then none can
-beat the best.  den_k is nondecreasing in k (sqrt(k), and B_k is a sum of
-nonnegative terms).  inv_k is nonincreasing (Gamma_k is Loewner monotone)
-and lies in [1, 1 / LAMBDA_FLOOR] = [1, 10] up to rounding, because
-Gamma_k's scale is the root of a truncated unit variance floored at
-LAMBDA_FLOOR.  By monotonicity of fl it is enough that
-N'_k <= fl(P * SLACK), because then
-
-    fl(N'_k / den_k) <= fl(fl(P * SLACK) / den_a) = bound.
-
-* Classical, feller, and self-normalized d = 1: N'_k = fl(N_k * inv_k)
-  <= fl(T * inv_a) = P <= fl(P * SLACK), with no rounding argument at all
-  (for d = 1 ``_row_norm`` is |x|, and |fl(x * i)| = fl(|x| * i)).
-* Self-normalized, d = 2..8.  With no underflow or overflow, a computed sum
-  of d squares puts each term through at most d roundings (one square and
-  at most d - 1 additions, in any summation order), so ``_row_norm`` of x
-  lies within the factors (1 -+ u)^(d/2 + 1) of |x|.  Underflow, of a
-  product, a square or a partial sum, adds at most d * 2^-1075 < 2^-1071
-  to a computed sum of squares.  T >= 2^-480 keeps that below 2^-71 of
-  any squared norm above 2^-1000 and of (inv_a * T)^2; rows with
-  |S_k| < 2^-500 <= 2^-20 T have N'_k far below P.  T <= 2^480 and
-  inv_a <= 10 keep every square below 2^973, so nothing overflows.  Hence
-  for every row, |S_k| <= T (1 - u)^-(d/2 + 1) (1 + 2^-71),
-  |fl(S_k * inv_k)| <= inv_a |S_k| (1 + u), and
-
-      N'_k <= inv_a T (1 + u)^(d/2 + 2) (1 - u)^-(d/2 + 1) (1 + 2^-70),
-
-  while fl(P * SLACK) >= inv_a T SLACK (1 - u)^2.  So SLACK >= 1 + (d + 5) u
-  + 2^-70 + O(u^2), which is 1 + 1.5e-15 at d = 8, suffices; SLACK =
-  1 + 1e-13 is about 900 u.
-
-A NaN maximum fails the range check, so the chunk is evaluated.  Because
-argmaxes are now taken per chunk rather than per block, a walk with NaN
-partial sums (non-finite increments) skips only the NaN's chunk where the
-per-block reducer skipped its whole block; every finite walk gives the same
-(max_ratio, argmax_k) bit for bit.  Tests check this against a reducer that
-evaluates every row, including walks built to make the slack, the lower and
-the upper range check each necessary.
+The chunk is skipped when bound <= best so far; every other chunk is
+evaluated with the same elementwise operations as a reducer that evaluates
+every row, and the update stays a strict ``>``.  The skip is exact: fl is
+monotone, every N_k <= T, inv_k is nonincreasing in k (Gamma_k is Loewner
+monotone, and ``GammaSequence`` holds its spans so) and den_k is
+nondecreasing (sqrt(k), and B_k is a sum of nonnegative terms), so every
+ratio in the chunk is <= bound and none can beat the best.  This holds in
+every mode and dimension, for subnormal and huge norms alike.  A NaN bound
+compares false, so its chunk is evaluated.  Because argmaxes are taken per
+chunk rather than per block, a walk with NaN partial sums (non-finite
+increments) skips only the NaN's chunk where a per-block reducer skipped
+its whole block; every finite walk gives the same (max_ratio, argmax_k) bit
+for bit.  Tests check this against a reducer that evaluates every row,
+including walks whose best row beats the running best by one ulp.
 """
 
 from __future__ import annotations
@@ -135,11 +111,6 @@ from .truncation import GammaSequence, c_levels, scheme_id  # noqa: F401
 
 BLOCK = 32768
 CHUNK = 4096  # rows per pruning bound
-
-# Pruning: the relative slack and the range the bound's inputs must lie in.
-SLACK = 1.0 + 1e-13
-SAFE_LO = 2.0**-480
-SAFE_HI = 2.0**480
 
 MODES = ("classical", "self_normalized", "feller")
 
@@ -306,8 +277,9 @@ def _sqrt_k(n: int) -> np.ndarray:
 
 
 def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] = None):
-    """(max, argmax k) of |Gamma_k^{-1} S_k| / den[k - 1] over k = 1..n, with
-    Gamma_k = I when ``gs`` is None; ties go to the smallest k.
+    """(max, argmax k) of |S_k| / lambda_k / den[k - 1] over k = 1..n, where
+    Gamma_k = lambda_k I, and lambda_k = 1 when ``gs`` is None; ties go to the
+    smallest k.
 
     A chunk whose bound cannot beat the best so far is skipped (see "Chunk
     pruning" above); every row of every other chunk is evaluated.
@@ -319,14 +291,14 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
         starts = range(0, len(rows), CHUNK)
         for c, top in zip(starts, np.maximum.reduceat(norms, starts).tolist()):
             a = off + c  # row c holds S_{a+1}
-            scaled = top if gs is None else top * gs.inv_at(a + 1)
-            if SAFE_LO <= top <= SAFE_HI and scaled * SLACK / den[a] <= best:
+            if gs is not None:
+                top *= gs.inv_at(a + 1)
+            if top / den[a] <= best:
                 continue
             e = min(c + CHUNK, len(rows))
-            if gs is None:
-                num = norms[c:e]
-            else:
-                num = _row_norm(gs.inv_apply(range(a + 1, off + e + 1), rows[c:e]))
+            num = norms[c:e]
+            if gs is not None:
+                num = gs.inv_apply(range(a + 1, off + e + 1), num[:, None])[:, 0]
             ratios = num / den[a : off + e]
             i = int(np.argmax(ratios))
             if ratios[i] > best:

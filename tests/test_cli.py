@@ -433,6 +433,7 @@ def test_integral_test_overflowed_tail_is_null(tmp_path):
         ("integral-test", "integral.d=1.5", "'d' must be a whole number"),
         ("integral-test", "integral.a=x", "'a' must be a number"),
         ("integral-test", "integral.b=nan", "'b' must be a number"),
+        ("integral-test", "integral.a=-3", "phi^2 is negative"),
         ("tail-bounds", "tails.sigmas=1.5", "must lie in (0, 1)"),
         ("tail-bounds", "tails.sigmas=0.5,0", "must lie in (0, 1)"),
     ],

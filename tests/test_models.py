@@ -447,3 +447,24 @@ def test_law_validation_errors():
         M.radial_profile(M.gaussian_iso(1), -1.0)
     with pytest.raises(ValueError):
         M.prob_tail(M.gaussian_iso(1), -0.5)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        M.gaussian_iso(2),
+        M.rademacher_product(2),
+        M.uniform_cube(2),
+        M.atom_ladder(0.5, 2, d=1),
+        M.atom_ladder_fat(2, d=3),
+    ],
+    ids=lambda law: law.family,
+)
+def test_negative_radius_rejected_by_every_profile(law):
+    """Each family rejects a negative radius in all three profiles; the
+    ladders and Rademacher once returned d or 1.0 from ``tail_second_moment``."""
+    for fn in (M.radial_profile, M.prob_tail, M.tail_second_moment):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            fn(law, -1.0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            fn(law, np.array([0.5, -1e-300]))

@@ -486,6 +486,27 @@ def test_inv_at_and_inv_apply_read_the_spans(law, scheme):
             assert np.array_equal(gs.inv_apply(ks, ones[: len(ks)]), want)
 
 
+def test_held_inverse_scales_never_increase(monkeypatch):
+    """The reducer's pruning bound reads Gamma_k^{-1} at a chunk's first row,
+    so the held values must not increase in k even where the profile's
+    rounding wobbles.  A profile that rises by 1e-14 relative at every other
+    index would make many of them increase; each such value is held at the
+    one before it, and the other indices keep their values."""
+    profile = T.radial_profile
+    law = M.gaussian_iso(2)
+
+    def wobbly(law, c):
+        a = np.asarray(profile(law, c), dtype=float)
+        return a * (1.0 - 1e-14 * (np.arange(a.size) % 2))
+
+    plain = T.GammaSequence(law, T.sqrt_n(), 200)
+    monkeypatch.setattr(T, "radial_profile", wobbly)
+    gs = T.GammaSequence(law, T.sqrt_n(), 200)
+    inv = gs.inv_scales
+    assert np.all(np.diff(inv) <= 0.0)
+    assert np.array_equal(inv[::2], plain.inv_scales[::2])
+
+
 # Frozen before GammaSequence was trimmed to what its callers read: n0, both
 # jump diagnostics by repr, and SHA-256 of the bytes of ``inv_scales`` and (for
 # d = 1) ``sqrt_feller_bn`` at n_max = 123457, past the exact region and not a

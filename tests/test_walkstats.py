@@ -242,8 +242,7 @@ def _every_row(traj, gs, mode):
         if mode == "classical":
             ratios = walkstats._row_norm(rows) / np.sqrt(ks)
         elif mode == "self_normalized":
-            scaled = rows * gs.inv_scales.take(ks - 1)[:, None]
-            ratios = walkstats._row_norm(scaled) / np.sqrt(ks)
+            ratios = walkstats._row_norm(rows) * gs.inv_scales.take(ks - 1) / np.sqrt(ks)
         else:
             ratios = np.abs(rows[:, 0]) / np.sqrt(bn.take(ks - 1))
         i = int(np.argmax(ratios))
@@ -362,51 +361,101 @@ def test_pruned_reducer_subnormal_squares(mode, d):
         _assert_matches_every_row(from_increments(law, x), mode)
 
 
-@pytest.mark.parametrize(
-    "k_best, s, x, y",
-    [
-        (1, "0x1.ffp-535", "0x1.eaep-529", "0x1.204p-530"),
-        (walkstats.CHUNK, "0x1.d299939a189b0p+0", "0x1.d0327a782cde5p+0", "0x1.7ecc6b5ec7802p-3"),
-    ],
-    ids=["subnormal_squares", "needs_slack"],
-)
-def test_pruned_reducer_crafted_near_miss(k_best, s, x, y):
-    """Self-normalized walks whose second chunk beats the first by one ulp,
-    while the bound from the raw norm, without its safeguards, does not.
-    Gamma_k^{-1} is about 1.796 for every k; S_{k_best} = (s, 0) sets the
-    best and S_4097 = (x, y) beats it.  In the first walk the squares are
-    subnormal, so only the range check saves the chunk; in the second the
-    raw and the scaled norm round apart, so only the slack does."""
+# Self-normalized walks where S_CHUNK = (s, 0) sets the first chunk's best and
+# S_{CHUNK+1} = row follows it, its ratio one ulp above that best ("win") or
+# equal to it ("tie").  Gamma_k^{-1} falls from about 1.8 to about 1.03 at
+# k = CHUNK + 2, so the second chunk's bound must read the span of its first
+# row.  Every row[0] - s is exact (Sterbenz), so S_{CHUNK+1} is row exactly.
+# In the subnormal-squares walks the squared norms are 4096 m and 4097 m
+# times 2^-1074, whose roots are the only ones near a ratio of sqrt(4097/4096).
+ONE_ULP_WALKS = {
+    "normal": {
+        "win": ("0x1.746da67c5b834p-1", ("0x1.0a7d3da94ecdep-1", "0x1.043b27b61342fp-1")),
+        "tie": ("0x1.746da67c5b835p-1", ("0x1.0a7d3da94ecdep-1", "0x1.043b27b61342fp-1")),
+    },
+    "subnormal_squares": {
+        "win": ("0x1.bb67ae8584caap-531", ("0x1.48e07afd16a33p-531", "0x1.297b96fc5d484p-531")),
+        "tie": ("0x1.0000000000000p-530", ("0x1.7bbf4e0796eddp-531", "0x1.5782e34b84a98p-531")),
+    },
+    "subnormal_norms": {
+        "win": ("0x0.00e850236669fp-1022", ("0x0.00e85765ca818p-1022",)),
+        "tie": ("0x0.00e85023666cbp-1022", ("0x0.00e85765ca818p-1022",)),
+    },
+    "above_2_480": {
+        "win": ("0x1.443d5957d4f5fp+500", ("0x1.9a2c58beeba3dp+499", "0x1.f6615c1de266ap+499")),
+        "tie": ("0x1.443d5957d4f60p+500", ("0x1.9a2c58beeba3dp+499", "0x1.f6615c1de266ap+499")),
+    },
+}
+
+
+def _two_span_walk(s, row):
+    """Increments putting S_CHUNK = (s, 0, ...) and S_{CHUNK+1} = ``row``,
+    with Gamma_k^{-1} one value through k = CHUNK + 1 and a smaller one after."""
+    c = walkstats.CHUNK
+    law = gaussian_iso(len(row))
+    n = 2 * c
+    inc = np.zeros((n, len(row)))
+    inc[c - 1, 0] = s
+    inc[c] = row
+    inc[c, 0] -= s
+    levels = np.full(n, 1.5)
+    levels[c + 1 :] = 3.0
+    gs = GammaSequence(law, table_scheme(levels), n)
+    assert gs.inv_at(c + 2) < gs.inv_at(c + 1) == gs.inv_at(1)
+    return from_increments(law, inc), gs
+
+
+@pytest.mark.parametrize("outcome", ["win", "tie"])
+@pytest.mark.parametrize("walk", list(ONE_ULP_WALKS))
+def test_pruned_reducer_one_ulp_from_the_best(monkeypatch, walk, outcome):
+    """The bound of the second chunk is exactly its first row's ratio: one ulp
+    above the best must be evaluated and win; equal to it must be skipped,
+    and the tie goes to the earlier row.  Counting ``inv_apply`` calls shows
+    which chunks were evaluated."""
+    c = walkstats.CHUNK
+    s, row = ONE_ULP_WALKS[walk][outcome]
+    s, row = float.fromhex(s), [float.fromhex(h) for h in row]
+    traj, gs = _two_span_walk(s, row)
+    first = _every_row(from_increments(traj.law, traj.increments[:c]), gs, "self_normalized")
+    starts = []
+    inv_apply = GammaSequence.inv_apply
+
+    def counted(self, ns, rows):
+        starts.append(ns.start)
+        return inv_apply(self, ns, rows)
+
+    monkeypatch.setattr(GammaSequence, "inv_apply", counted)
+    rec = de_statistic(traj, gs, "self_normalized")
+    assert (rec.max_ratio, rec.argmax_k) == _every_row(traj, gs, "self_normalized")
+    assert first[1] == c
+    if outcome == "win":
+        assert rec.max_ratio == np.nextafter(first[0], np.inf)
+        assert rec.argmax_k == c + 1
+        assert starts == [1, c + 1]
+    else:
+        assert (rec.max_ratio, rec.argmax_k) == first
+        assert starts == [1]
+
+
+@pytest.mark.parametrize("first, argmax_k", [(32.0, 1), (128.0, walkstats.CHUNK + 1)])
+def test_pruned_reducer_huge_norm_stays_finite(first, argmax_k):
+    """|S_4097| = 1e154 has a finite square.  Its norm is scaled by
+    Gamma^{-1} (about 1.8) after the root is taken, so no square overflows:
+    the statistic is finite and matches the reducer that evaluates every
+    row (scaling the row first made this walk's ratio infinite).  With
+    S_1 = 1e154 / 32 the first row stays the best and the second chunk is
+    skipped; with 1e154 / 128 the huge row is evaluated and wins."""
     law = gaussian_iso(2)
     n = 2 * walkstats.CHUNK
-    s, x, y = (float.fromhex(h) for h in (s, x, y))
     inc = np.zeros((n, 2))
-    inc[k_best - 1, 0] = s
-    inc[walkstats.CHUNK] = (x - s, y)
+    inc[0, 0] = 1e154 / first
+    inc[walkstats.CHUNK, 0] = 1e154 - 1e154 / first
     traj = from_increments(law, inc)
     gs = GammaSequence(law, table_scheme((1.5,) * n), n)
     rec = de_statistic(traj, gs, "self_normalized")
+    assert math.isfinite(rec.max_ratio) and math.isfinite(rec.value)
     assert (rec.max_ratio, rec.argmax_k) == _every_row(traj, gs, "self_normalized")
-    assert rec.argmax_k == walkstats.CHUNK + 1
-
-
-def test_pruned_reducer_never_skips_an_overflow():
-    """|S_4097| = 1e154 has a finite square, but Gamma^{-1} S_4097 does not,
-    so that row's ratio is inf although the bound from the raw norm is below
-    the best of the first chunk.  The range check evaluates the chunk, and
-    the infinite statistic is rejected as it is without pruning.  The
-    squares overflow on purpose."""
-    law = gaussian_iso(2)
-    n = 2 * walkstats.CHUNK
-    inc = np.zeros((n, 2))
-    inc[0, 0] = 1e154 / 32.0
-    inc[walkstats.CHUNK, 0] = 1e154 - 1e154 / 32.0
-    traj = from_increments(law, inc)
-    gs = GammaSequence(law, table_scheme((1.5,) * n), n)
-    with np.errstate(over="ignore"):
-        assert _every_row(traj, gs, "self_normalized") == (np.inf, walkstats.CHUNK + 1)
-        with pytest.raises(ValueError, match="finite"):
-            de_statistic(traj, gs, "self_normalized")
+    assert rec.argmax_k == argmax_k
 
 
 def test_pruned_chunk_count_pinned(monkeypatch):
