@@ -256,10 +256,10 @@ class GammaSequence:
     keeps 1/lambda(Gamma_n) as spans: a first index and a value for each run
     of equal held values (one span for uniform_cube under ``sqrt_n``, at
     most one per checkpoint).  Self_normalized mode reads them through
-    ``inv_at`` and ``inv_apply`` and needs no n_max-long table.  The feller
-    denominators ``sqrt_feller_bn`` are the one table, built on first use;
-    ``harness.build_normalizer`` builds it before any replication, so worker
-    threads share it without locking.
+    ``inv_apply`` and, for its pruning bound, ``inv_sup_from``, and needs no
+    n_max-long table.  The feller denominators ``sqrt_feller_bn`` are the
+    one table, built on first use; ``harness.build_normalizer`` builds it
+    before any replication, so worker threads share it without locking.
     """
 
     def __init__(self, law: IncrementLaw, scheme: TruncationScheme, n_max: int):
@@ -292,14 +292,14 @@ class GammaSequence:
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
         # each checkpoint's value is held up to the next checkpoint; a span
-        # starts where the held value changes.  The values are held
-        # nonincreasing, as Gamma's Loewner order makes them, so a rounding
-        # wobble in the profile cannot break the reducer's pruning bound.  The
-        # first indices are a list for bisect, which is several times faster
-        # than a scalar searchsorted
-        inv = np.minimum.accumulate(1.0 / scale)
+        # starts where the held value changes.  The first indices are a list
+        # for bisect, which is several times faster than a scalar searchsorted
+        inv = 1.0 / scale
         first = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]])
         self._span_start, self._span_inv = ns[first].tolist(), inv[first]
+        # the largest value from each span on: the span's own value wherever
+        # the values never rise, and still a bound where they do
+        self._span_sup = np.maximum.accumulate(self._span_inv[::-1])[::-1]
 
     def _default_n0(self, psi: np.ndarray) -> int:
         n_eig = _eigenvalue_floor_index(self.law, self.scheme, self.n_max)
@@ -313,6 +313,11 @@ class GammaSequence:
     def inv_at(self, k: int) -> float:
         """1/lambda(Gamma_k), the value of the span holding index k."""
         return float(self._span_inv[bisect_right(self._span_start, k) - 1])
+
+    def inv_sup_from(self, k: int) -> float:
+        """max of 1/lambda(Gamma_j) over k <= j <= n_max: ``inv_at(k)`` unless
+        a later value is larger, which needs a scheme whose levels fall."""
+        return float(self._span_sup[bisect_right(self._span_start, k) - 1])
 
     def _inv_over(self, ks: range) -> np.ndarray:
         """1/lambda(Gamma_k) for k in ``ks``, expanded from the spans it covers."""

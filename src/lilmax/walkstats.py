@@ -57,7 +57,7 @@ reducer works on row norms in every mode.  Self-normalized mode scales a
 chunk's norms, as one column, by ``GammaSequence.inv_apply`` with the
 chunk's indices as a ``range``, which expands only the spans of
 1/lambda_k that the range covers, and its pruning bound reads one span's
-value through ``GammaSequence.inv_at``.  Elementwise square roots and
+value through ``GammaSequence.inv_sup_from``.  Elementwise square roots and
 products have the same bits however the arrays are sliced or expanded.
 Each table is written once, in place, into its own 8n-byte output:
 ``_sqrt_k`` takes the root of a float ``arange`` in place, and sqrt(B_k) is
@@ -69,23 +69,25 @@ Chunk pruning
 -------------
 Write fl for correctly rounded IEEE arithmetic, N_k = ``_row_norm``(S_k),
 den_k for the denominator and inv_k for 1/lambda_k (1 outside
-self-normalized mode, ``GammaSequence.inv_at(k)`` in it).  Row k's ratio is
-fl(fl(N_k * inv_k) / den_k), the product left out when inv_k is 1.  Each
-block is cut into chunks of ``CHUNK`` rows.  For a chunk whose first row is
-k = a + 1 (0-based a), let T be the largest N_k in the chunk (every norm is
-computed anyway) and
+self-normalized mode, ``GammaSequence.inv_at(k)`` in it), and U_k for the
+largest inv_j over j >= k (``GammaSequence.inv_sup_from(k)``, 1 outside
+self-normalized mode).  Row k's ratio is fl(fl(N_k * inv_k) / den_k), the
+product left out when inv_k is 1.  Each block is cut into chunks of
+``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
+T be the largest N_k in the chunk (every norm is computed anyway) and
 
-    bound = fl(fl(T * inv_{a+1}) / den_{a+1}).
+    bound = fl(fl(T * U_{a+1}) / den_{a+1}).
 
 The chunk is skipped when bound <= best so far; every other chunk is
 evaluated with the same elementwise operations as a reducer that evaluates
 every row, and the update stays a strict ``>``.  The skip is exact: fl is
-monotone, every N_k <= T, inv_k is nonincreasing in k (Gamma_k is Loewner
-monotone, and ``GammaSequence`` holds its spans so) and den_k is
-nondecreasing (sqrt(k), and B_k is a sum of nonnegative terms), so every
-ratio in the chunk is <= bound and none can beat the best.  This holds in
-every mode and dimension, for subnormal and huge norms alike.  A NaN bound
-compares false, so its chunk is evaluated.  Because argmaxes are taken per
+monotone, every N_k <= T, every inv_k in the chunk is <= U_{a+1} and den_k
+is nondecreasing (sqrt(k), and B_k is a sum of nonnegative terms), so every
+ratio in the chunk is <= bound and none can beat the best.  U_{a+1} is
+inv_{a+1} itself unless 1/lambda rises later, which needs levels that fall
+(a family scheme whose n0 is set below its dip) or a rounding wobble in a
+profile.  This holds in every mode and dimension, for subnormal and huge
+norms alike.  A NaN bound compares false, so its chunk is evaluated.  Because argmaxes are taken per
 chunk rather than per block, a walk with NaN partial sums (non-finite
 increments) skips only the NaN's chunk where a per-block reducer skipped
 its whole block; every finite walk gives the same (max_ratio, argmax_k) bit
@@ -292,7 +294,7 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
         for c, top in zip(starts, np.maximum.reduceat(norms, starts).tolist()):
             a = off + c  # row c holds S_{a+1}
             if gs is not None:
-                top *= gs.inv_at(a + 1)
+                top *= gs.inv_sup_from(a + 1)
             if top / den[a] <= best:
                 continue
             e = min(c + CHUNK, len(rows))

@@ -486,25 +486,20 @@ def test_inv_at_and_inv_apply_read_the_spans(law, scheme):
             assert np.array_equal(gs.inv_apply(ks, ones[: len(ks)]), want)
 
 
-def test_held_inverse_scales_never_increase(monkeypatch):
-    """The reducer's pruning bound reads Gamma_k^{-1} at a chunk's first row,
-    so the held values must not increase in k even where the profile's
-    rounding wobbles.  A profile that rises by 1e-14 relative at every other
-    index would make many of them increase; each such value is held at the
-    one before it, and the other indices keep their values."""
-    profile = T.radial_profile
-    law = M.gaussian_iso(2)
-
-    def wobbly(law, c):
-        a = np.asarray(profile(law, c), dtype=float)
-        return a * (1.0 - 1e-14 * (np.arange(a.size) % 2))
-
-    plain = T.GammaSequence(law, T.sqrt_n(), 200)
-    monkeypatch.setattr(T, "radial_profile", wobbly)
-    gs = T.GammaSequence(law, T.sqrt_n(), 200)
+def test_falling_levels_keep_their_inverse_scales():
+    """With n0 = 1, sqrt_n_invLL5's level falls from about 3.6 at n = 16 to
+    about 1.1 near n = 300, so 1/lambda rises there by about 2x.  Each index
+    keeps its own 1/sqrt(a(c_{k v n0})), the rise included, and
+    ``inv_sup_from(k)`` is the largest value from k on."""
+    law, scheme, n_max = M.gaussian_iso(1), T.sqrt_n_invLL5(1), 2000
+    gs = T.GammaSequence(law, scheme, n_max)
+    ks = np.arange(1, n_max + 1)
+    a = M.radial_profile(law, T.c_levels(scheme, np.maximum(ks, gs.n0)))
     inv = gs.inv_scales
-    assert np.all(np.diff(inv) <= 0.0)
-    assert np.array_equal(inv[::2], plain.inv_scales[::2])
+    assert np.array_equal(inv, 1.0 / np.sqrt(a))
+    assert inv[:400].max() > 1.9 * inv[15]
+    sup = np.maximum.accumulate(inv[::-1])[::-1]
+    assert np.array_equal([gs.inv_sup_from(k) for k in ks], sup)
 
 
 # Frozen before GammaSequence was trimmed to what its callers read: n0, both

@@ -33,7 +33,7 @@ from lilmax.truncation import (
     sqrt_n_invLL5,
     table_scheme,
 )
-from lilmax import walkstats
+from lilmax import truncation, walkstats
 from lilmax.walkstats import (
     BLOCK,
     StatRecord,
@@ -63,6 +63,8 @@ class _ScaledGamma:
 
     def inv_at(self, k):
         return 1.0 / self._lam
+
+    inv_sup_from = inv_at
 
     @property
     def inv_scales(self):
@@ -435,6 +437,33 @@ def test_pruned_reducer_one_ulp_from_the_best(monkeypatch, walk, outcome):
     else:
         assert (rec.max_ratio, rec.argmax_k) == first
         assert starts == [1]
+
+
+def test_pruned_reducer_bound_covers_a_later_rise(monkeypatch):
+    """A profile read at 4.5 - c, so that it falls where the level rises
+    from 1.5 to 3.0 at k = CHUNK + 2, makes 1/lambda rise there from about
+    1.03 to about 1.8 (no catalogue profile falls; a rounding wobble could).
+    With S_k = (1, 0) from k = CHUNK on, the second chunk's first ratio is
+    below the best but its second is above it: the bound must read the
+    largest value from the chunk's first row on, so the chunk is evaluated
+    and row CHUNK + 2 wins."""
+    c = walkstats.CHUNK
+    law = gaussian_iso(2)
+    n = 2 * c
+    inc = np.zeros((n, 2))
+    inc[c - 1, 0] = 1.0
+    levels = np.full(n, 1.5)
+    levels[c + 1 :] = 3.0
+    profile = truncation.radial_profile
+    monkeypatch.setattr(
+        truncation, "radial_profile", lambda law, t: profile(law, 4.5 - np.asarray(t))
+    )
+    gs = GammaSequence(law, table_scheme(levels), n)
+    assert gs.inv_at(c + 2) > 1.5 * gs.inv_at(c + 1)
+    traj = from_increments(law, inc)
+    rec = de_statistic(traj, gs, "self_normalized")
+    assert (rec.max_ratio, rec.argmax_k) == _every_row(traj, gs, "self_normalized")
+    assert rec.argmax_k == c + 2
 
 
 @pytest.mark.parametrize("first, argmax_k", [(32.0, 1), (128.0, walkstats.CHUNK + 1)])
