@@ -12,11 +12,11 @@ in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
 self_normalized mode with ``sqrt_n_invLL5`` and, on ``atom_ladder`` c = 0.5,
 with ``sqrt_n`` at d = 1 and d = 2, which write 24 CSVs.  ``lilmax
 shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
-``tightness_fat.ini`` run the same way.  ``lilmax integral-test`` runs with no
-config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
-(3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
-is not a multiple of the probe's block size.  Each side uses its own
-``configs/``.
+``tightness_fat.ini`` run the same way.  ``lilmax integral-test``, which takes
+no ``--seed``, runs with no config on the three boundary cells (d, a, b) =
+(1, 2, 1), (2, 4, 3) and (3, 5, 2), once at the default ``integral.n_max``
+and once at 123457, which is not a multiple of the probe's block size.
+Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
 output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
@@ -47,7 +47,8 @@ sys.path.insert(0, HERE)
 from bench_pairs import extract_revision  # noqa: E402
 
 RUN_TIMEOUT_S = 900
-COMMON = ["--seed", "1608", "--set", "experiment.replications=12"]
+COMMON = ["--set", "experiment.replications=12"]
+SEED = ["--seed", "1608"]  # overrides a config's master seed
 REPLAY_INDEX = 11
 
 # (run name, subcommand, bundled config, extra --set overrides)
@@ -88,13 +89,13 @@ COMMANDS = [
 def run_lilmax(tree: str, command: str, config: str | None, sets: list, out: str,
            extra: tuple = ()) -> subprocess.CompletedProcess:
     """``lilmax COMMAND`` from ``tree``'s own sources and configs; no
-    ``--config`` when ``config`` is None."""
+    ``--config`` and no ``--seed`` when ``config`` is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(tree, "src"), env.get("PYTHONPATH")]))
     args = [sys.executable, "-m", "lilmax.cli", command, "--out", out, *COMMON]
     if config is not None:
-        args += ["--config", os.path.join(tree, "configs", config)]
+        args += ["--config", os.path.join(tree, "configs", config), *SEED]
     for item in sets:
         args += ["--set", item]
     return subprocess.run(args + list(extra), cwd=tree, env=env, capture_output=True,

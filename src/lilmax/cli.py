@@ -74,7 +74,8 @@ _PROBE_Y = (-4.0, -2.0, 0.0, 2.0)
 
 
 def _parser_from_args(args):
-    seed = [] if args.seed is None else [f"experiment.master_seed={args.seed}"]
+    seed = getattr(args, "seed", None)  # only experiment subcommands take --seed
+    seed = [] if seed is None else [f"experiment.master_seed={seed}"]
     return load_config_parser(args.config, [*(args.set or []), *seed])
 
 
@@ -128,7 +129,8 @@ def shift_driver_table(law, ns: Sequence[int]) -> list[dict]:
     """Deterministic centering drift (1 - sigma_n) * b_n on a horizon grid.
 
     sigma_n is the standard deviation retained after truncating the law at
-    sqrt(n); with no law (the degenerate zero-shift case) the drift is 0.
+    sqrt(n), and b_n = b_{1,n}, so the table is for d = 1; with no law (the
+    degenerate zero-shift case) the drift is 0.
     """
     rows = []
     for n in ns:
@@ -164,6 +166,9 @@ def cmd_shift_experiment(args) -> int:
     cfg = experiment_from_parser(cp)
     if cfg.mode != "classical":
         raise ConfigError("shift-experiment measures the classical statistic")
+    if cfg.d != 1:
+        # the driver (1 - sigma_n) b_{1,n} centers the d = 1 statistic only
+        raise ConfigError(f"shift-experiment is defined for d = 1, got d = {cfg.d}")
     ref = reference_from_parser(cp, cfg)
     if ref is None:
         raise ConfigError("shift-experiment needs a [reference] section for the median comparison")
@@ -463,6 +468,12 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lilmax",
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required: bool):
+    def common(p, config_required: bool, seed: bool = False, threads: bool = False):
         p.add_argument(
             "--config",
             required=config_required,
@@ -485,19 +496,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config value, e.g. experiment.n=100000",
         )
         p.add_argument("--out", default=None, help=f"output directory (default {DEFAULT_OUT})")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
-        p.add_argument("--seed", type=int, default=None, help="override experiment.master_seed")
+        if threads:
+            p.add_argument("--threads", type=_thread_count, default=1, help="worker threads (speed only)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override experiment.master_seed")
 
     p = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    common(p, config_required=True)
+    common(p, config_required=True, seed=True, threads=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("shift-experiment", help="centering-shift driver and medians")
-    common(p, config_required=True)
+    common(p, config_required=True, seed=True, threads=True)
     p.set_defaults(func=cmd_shift_experiment)
 
     p = sub.add_parser("tightness-probe", help="escape-of-mass probe at growing horizons")
-    common(p, config_required=True)
+    common(p, config_required=True, seed=True, threads=True)
     p.set_defaults(func=cmd_tightness_probe)
 
     p = sub.add_parser("integral-test", help="boundary-series convergence verdicts")
@@ -513,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("replay", help="re-execute one replication and diff the CSV")
-    common(p, config_required=True)
+    common(p, config_required=True, seed=True)
     p.add_argument("--replication", type=int, default=0, help="row index to replay")
     p.set_defaults(func=cmd_replay)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iterlog import _log_chain
-from .models import _GL_NODES, _GL_WEIGHTS, gaussian_iso, prob_tail
+from .models import _GL_NODES, _GL_WEIGHTS, _gl_integrate, gaussian_iso, prob_tail
 
 __all__ = [
     "GumbelLaw",
@@ -59,11 +59,6 @@ class GumbelLaw:
         out = np.exp(-np.exp(-(y - self.shift)))
         return float(out) if out.ndim == 0 else out
 
-    def sf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = -np.expm1(-np.exp(-(y - self.shift)))
-        return float(out) if out.ndim == 0 else out
-
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if np.any((p <= 0.0) | (p >= 1.0)):
@@ -97,12 +92,8 @@ class PhiFamily:
 
     def squared(self, t):
         t = np.asarray(t, dtype=float)
-        _, ll = _log_chain(t, 2)
-        if np.all(ll <= math.e):
-            r = self._squared_floored(ll)
-        else:
-            lll, llll = _log_chain(ll, 2)
-            r = 2.0 * ll + self.a * lll + self.b * llll
+        _, ll, lll, llll = _log_chain(t, 4)
+        r = 2.0 * ll + self.a * lll + self.b * llll
         if np.any(r < 0.0):
             bad = np.asarray(t)[np.asarray(r) < 0.0]
             raise ValueError(
@@ -384,12 +375,6 @@ def _exact_partial_sums(phi: PhiFamily, n_exact: int, at) -> dict:
     return sums
 
 
-def _gl_segment(fn, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES)))
-
-
 def _em_segment_sum(phi: PhiFamily, n0: float, n1: float) -> float:
     """Euler-Maclaurin estimate of sum_{n0 < n <= n1} term(n): the integral
     in t = log(n) split at the third-log release kink, plus the trapezoid
@@ -408,7 +393,7 @@ def _em_segment_sum(phi: PhiFamily, n0: float, n1: float) -> float:
         pieces = max(1, math.ceil((hi - lo) / 2.0))
         grid = np.linspace(lo, hi, pieces + 1)
         for a, b in zip(grid[:-1], grid[1:]):
-            total += _gl_segment(g, a, b)
+            total += float(_gl_integrate(g, a, b))
     f0 = float(integral_test_term(phi, n0))
     f1 = float(integral_test_term(phi, n1))
     return total + 0.5 * (f1 - f0)

@@ -263,14 +263,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def _gl_integrate(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized fixed-order Gauss-Legendre of fn over per-element [lo, hi]."""
+    """Vectorized fixed-order Gauss-Legendre of fn over per-element [lo, hi].
+
+    Each element's weighted sum is reduced on its own, so its bits do not
+    depend on the batch it is computed in or on the BLAS thread count (a
+    matrix-vector product gives neither promise).
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[..., None] + half[..., None] * _GL_NODES
     vals = fn(nodes)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * np.sum(vals * _GL_WEIGHTS, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -278,21 +283,15 @@ def _cube_sq_cdf_spline(m: int):
     """PCHIP spline of P{sum of m squared uniform coordinates <= s} on [0, 3m].
 
     Built recursively from the closed m <= 2 forms; each level integrates the
-    previous one with fixed-order Gauss-Legendre after the smoothing
-    substitution X^2 = v^2.  Monotone by construction of PCHIP.
+    previous one with fixed-order Gauss-Legendre (``_cube_last_coord``).
+    Monotone by construction of PCHIP.
     """
     # deferred: loading scipy.interpolate costs every process a third of a
     # second, and only cube laws with d >= 4 get here
     from scipy.interpolate import PchipInterpolator
 
-    if m <= 2:
-        raise ValueError("closed forms cover m <= 2")
-    prev = _cube_sq_cdf(m - 1)
     grid = np.linspace(0.0, 3.0 * m, 4097)
-    ub = np.minimum(np.sqrt(grid), _CUBE_HALF)
-    vals = _gl_integrate(lambda v: prev(grid[:, None] - v * v), np.zeros_like(grid), ub) / _CUBE_HALF
-    vals = np.clip(vals, 0.0, 1.0)
-    spline = PchipInterpolator(grid, vals, extrapolate=False)
+    spline = PchipInterpolator(grid, _cube_last_coord(m, grid, moment=False), extrapolate=False)
 
     def cdf(s):
         s = np.asarray(s, dtype=float)
@@ -344,21 +343,27 @@ def _cube_trunc_2(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cube_last_coord(d: int, t: np.ndarray, moment: bool) -> np.ndarray:
-    """(1/sqrt 3) integral_0^{min(t, sqrt 3)} w(v) F_{d-1}(t^2 - v^2) dv.
+def _cube_last_coord(d: int, s: np.ndarray, moment: bool) -> np.ndarray:
+    """(1/sqrt 3) integral_0^{min(sqrt s, sqrt 3)} w(v) F_{d-1}(s - v^2) dv
+    at squared radii s >= 0.
 
     The last coordinate X_d = +-v integrated against the exact (d-1)-coordinate
-    squared-norm CDF F_{d-1}: w(v) = v^2 gives E[X_d^2 1{|X| <= t}] and
-    w(v) = 1 gives P{|X| <= t}.  Clipped to [0, 1].
+    squared-norm CDF F_{d-1}: w(v) = v^2 gives E[X_d^2 1{|X|^2 <= s}] and
+    w(v) = 1 gives P{|X|^2 <= s}.  Clipped to [0, 1], and exactly 1 from the
+    corner s = 3d on, where only the radii inside it are integrated.
     """
     prev = _cube_sq_cdf(d - 1)
-    ub = np.minimum(np.clip(t, 0.0, None), _CUBE_HALF)
+    out = np.ones_like(s)
+    inside = s < 3.0 * d
+    s = s[inside]
 
     def integrand(v):
-        cdf = prev(t[..., None] ** 2 - v * v)
+        cdf = prev(s[:, None] - v * v)
         return v * v * cdf if moment else cdf
 
-    return np.clip(_gl_integrate(integrand, np.zeros_like(t), ub) / _CUBE_HALF, 0.0, 1.0)
+    ub = np.minimum(np.sqrt(s), _CUBE_HALF)
+    out[inside] = np.clip(_gl_integrate(integrand, np.zeros_like(s), ub) / _CUBE_HALF, 0.0, 1.0)
+    return out
 
 
 def _cube_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
@@ -367,14 +372,14 @@ def _cube_trunc_array(d: int, t: np.ndarray) -> np.ndarray:
         return _cube_trunc_1(t)
     if d == 2:
         return _cube_trunc_2(t)
-    return np.where(t * t >= 3.0 * d, 1.0, _cube_last_coord(d, t, moment=True))
+    return _cube_last_coord(d, t * t, moment=True)
 
 
 def _cube_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if d <= 2:
         return 1.0 - _cube_sq_cdf(d)(t * t)
-    return np.where(t * t >= 3.0 * d, 0.0, 1.0 - _cube_last_coord(d, t, moment=False))
+    return 1.0 - _cube_last_coord(d, t * t, moment=False)
 
 
 # ---------------------------------------------------------------------------

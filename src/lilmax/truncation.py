@@ -310,13 +310,9 @@ class GammaSequence:
             return max(n_eig, int(np.argmax(ok)) + 1)
         return n_eig  # window clause unsatisfiable: eigenvalue clause decides
 
-    def inv_at(self, k: int) -> float:
-        """1/lambda(Gamma_k), the value of the span holding index k."""
-        return float(self._span_inv[bisect_right(self._span_start, k) - 1])
-
     def inv_sup_from(self, k: int) -> float:
-        """max of 1/lambda(Gamma_j) over k <= j <= n_max: ``inv_at(k)`` unless
-        a later value is larger, which needs a scheme whose levels fall."""
+        """max of 1/lambda(Gamma_j) over k <= j <= n_max: 1/lambda(Gamma_k)
+        unless a later value is larger, which needs a scheme whose levels fall."""
         return float(self._span_sup[bisect_right(self._span_start, k) - 1])
 
     def _inv_over(self, ks: range) -> np.ndarray:
@@ -326,25 +322,19 @@ class GammaSequence:
         ends = [ks.start, *self._span_start[i + 1 : j], ks.stop]
         return np.repeat(self._span_inv[i:j], np.diff(ends))
 
-    def inv_apply(self, ks: range, rows: np.ndarray) -> np.ndarray:
-        """Rows Gamma_k^{-1} x for the unit-step index range ``ks``; (m, d) -> (m, d).
+    def inv_apply(self, ks: range, norms: np.ndarray) -> np.ndarray:
+        """Norms |Gamma_k^{-1} x| = |x| / lambda(Gamma_k) for the unit-step
+        index range ``ks``, given the 1-D array of norms |x|, one per index.
 
-        Gamma_k is a scalar multiple of the identity, so each column is scaled
-        by the range's values, expanded from only the spans it covers (a
-        broadcast over rows of length d is slower).  The same call scales a
-        column of norms |x| to |Gamma_k^{-1} x|, given as an (m, 1) array:
-        this is how the reducer uses it.
+        Gamma_k is a scalar multiple of the identity, so this is ``norms``
+        times the range's 1/lambda values, expanded from only the spans the
+        range covers.
         """
         if not isinstance(ks, range) or ks.step != 1:
             raise ValueError("indices must be a unit-step range")
         if ks.start < 1 or ks.stop > self.n_max + 1:
             raise ValueError(f"indices outside 1..{self.n_max}")
-        inv = self._inv_over(ks)
-        rows = np.asarray(rows, dtype=float)
-        out = np.empty_like(rows)
-        for j in range(rows.shape[1]):
-            np.multiply(rows[:, j], inv, out=out[:, j])
-        return out
+        return norms * self._inv_over(ks)
 
     @property
     def inv_scales(self) -> np.ndarray:
@@ -480,7 +470,6 @@ class TailConditionReport:
     rows: tuple
     limit_estimate: float
     verdict: str
-    analytic: bool
 
 
 _SMALL_O_VERDICT = {
@@ -518,5 +507,4 @@ def validate_tail_condition(law: IncrementLaw, which: str, t_grid) -> TailCondit
         rows=rows,
         limit_estimate=limit,
         verdict=verdict,
-        analytic=True,
     )

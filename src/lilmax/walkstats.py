@@ -54,11 +54,11 @@ a normalizer sequence needs nothing else) or sqrt(B_k) from
 ``GammaSequence.sqrt_feller_bn``.  Every catalogue law is isotropic, so
 Gamma_k = lambda_k I and |Gamma_k^{-1} S_k| = |S_k| / lambda_k: the
 reducer works on row norms in every mode.  Self-normalized mode scales a
-chunk's norms, as one column, by ``GammaSequence.inv_apply`` with the
-chunk's indices as a ``range``, which expands only the spans of
-1/lambda_k that the range covers, and its pruning bound reads one span's
-value through ``GammaSequence.inv_sup_from``.  Elementwise square roots and
-products have the same bits however the arrays are sliced or expanded.
+chunk's norms by ``GammaSequence.inv_apply`` with the chunk's indices as a
+``range``, which expands only the spans of 1/lambda_k that the range
+covers, and its pruning bound reads one span's value through
+``GammaSequence.inv_sup_from``.  Elementwise square roots and products have
+the same bits however the arrays are sliced or expanded.
 Each table is written once, in place, into its own 8n-byte output:
 ``_sqrt_k`` takes the root of a float ``arange`` in place, and sqrt(B_k) is
 summed in blocks and rooted in place.  So every mode holds one n-long
@@ -69,12 +69,13 @@ Chunk pruning
 -------------
 Write fl for correctly rounded IEEE arithmetic, N_k = ``_row_norm``(S_k),
 den_k for the denominator and inv_k for 1/lambda_k (1 outside
-self-normalized mode, ``GammaSequence.inv_at(k)`` in it), and U_k for the
-largest inv_j over j >= k (``GammaSequence.inv_sup_from(k)``, 1 outside
-self-normalized mode).  Row k's ratio is fl(fl(N_k * inv_k) / den_k), the
-product left out when inv_k is 1.  Each block is cut into chunks of
-``CHUNK`` rows.  For a chunk whose first row is k = a + 1 (0-based a), let
-T be the largest N_k in the chunk (every norm is computed anyway) and
+self-normalized mode; in it, the factor by which ``GammaSequence.inv_apply``
+multiplies N_k), and U_k for the largest inv_j over j >= k
+(``GammaSequence.inv_sup_from(k)``, 1 outside self-normalized mode).  Row
+k's ratio is fl(fl(N_k * inv_k) / den_k), the product left out when inv_k
+is 1.  Each block is cut into chunks of ``CHUNK`` rows.  For a chunk whose
+first row is k = a + 1 (0-based a), let T be the largest N_k in the chunk
+(every norm is computed anyway) and
 
     bound = fl(fl(T * U_{a+1}) / den_{a+1}).
 
@@ -109,7 +110,7 @@ from .iterlog import normalizers
 # radial_profile and c_levels stay imported: perfbench/tracing.py patches them here.
 from .models import IncrementLaw, law_id, radial_profile, sample  # noqa: F401
 from .psdmat import MAX_DIM
-from .truncation import GammaSequence, c_levels, scheme_id  # noqa: F401
+from .truncation import GammaSequence, c_levels  # noqa: F401
 
 BLOCK = 32768
 CHUNK = 4096  # rows per pruning bound
@@ -300,7 +301,7 @@ def _running_max(traj: Trajectory, den: np.ndarray, gs: Optional[GammaSequence] 
             e = min(c + CHUNK, len(rows))
             num = norms[c:e]
             if gs is not None:
-                num = gs.inv_apply(range(a + 1, off + e + 1), num[:, None])[:, 0]
+                num = gs.inv_apply(range(a + 1, off + e + 1), num)
             ratios = num / den[a : off + e]
             i = int(np.argmax(ratios))
             if ratios[i] > best:
@@ -326,8 +327,6 @@ class StatRecord:
     n: int
     argmax_k: int
     d: int
-    law: str
-    scheme: str
     seed: str
     max_ratio: float
 
@@ -388,8 +387,6 @@ def de_statistic(
         n=traj.n,
         argmax_k=best_k,
         d=d,
-        law=law_id(traj.law),
-        scheme=scheme_id(gs.scheme) if gs is not None else "none",
         seed=traj.seed_label,
         max_ratio=best,
     )

@@ -334,6 +334,16 @@ def test_shift_experiment_rejects_other_laws(tmp_path):
     assert main(["shift-experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_shift_experiment_rejects_d_above_1(tmp_path, capsys):
+    # the driver (1 - sigma_n) b_{1,n} centers the d = 1 statistic only
+    cfg = _write(tmp_path, "s.ini", SHIFT_INI)
+    out = tmp_path / "out"
+    assert main(["shift-experiment", "--config", cfg, "--out", str(out),
+                 "--set", "experiment.d=2"]) == 2
+    assert "defined for d = 1, got d = 2" in capsys.readouterr().err
+    assert not (out / "summary.jsonl").exists()
+
+
 def test_shift_experiment_degenerate_c0(tmp_path, capsys):
     cfg = _write(tmp_path, "s.ini", SHIFT_INI)
     out = tmp_path / "out"
@@ -724,6 +734,28 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "x.ini", "--threads", "0"],
+        ["shift-experiment", "--config", "x.ini", "--threads", "-1"],
+        *(
+            [command, flag, "1"]
+            for command in ("integral-test", "tail-bounds", "validate")
+            for flag in ("--threads", "--seed")
+        ),
+        ["replay", "--config", "x.ini", "--threads", "1"],
+    ],
+)
+def test_flags_a_subcommand_does_not_take_exit_2(argv, capsys):
+    """A thread count below 1 is a usage error, and so is --threads or
+    --seed on a subcommand that runs no experiment (replay takes --seed)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

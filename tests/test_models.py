@@ -120,6 +120,17 @@ def test_cube_profile_matches_inscribed_ball(d):
     np.testing.assert_allclose(M.prob_tail(law, t), tail, rtol=0, atol=tail_abs)
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_cube_profile_does_not_depend_on_the_batch(d):
+    # each radius's quadrature is reduced on its own: a matrix-vector product
+    # let the batch around a radius move its last bits
+    law = M.uniform_cube(d)
+    radii = np.linspace(0.0, math.sqrt(3.0 * d), 997)
+    for profile in (M.radial_profile, M.prob_tail):
+        single = [profile(law, float(t)) for t in radii]
+        assert np.array_equal(profile(law, radii), single)
+
+
 def test_rademacher_step():
     law = M.rademacher_product(3)
     s = math.sqrt(3.0)

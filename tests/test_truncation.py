@@ -7,6 +7,9 @@ cache against the analytic truncated second moments it must reproduce.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -379,9 +382,9 @@ def _gamma(gs, n: int) -> SymPSD:
 def test_rademacher_gamma_is_exact_identity():
     gs = T.GammaSequence(M.rademacher_product(2), T.sqrt_n(), 1000)
     assert np.array_equal(gs.inv_scales, np.ones(1000))
-    rows = np.arange(10.0).reshape(5, 2)
-    assert np.array_equal(gs.inv_apply(range(1, 6), rows), rows)
-    assert np.array_equal(gs.inv_apply(range(996, 1001), rows), rows)
+    norms = np.arange(5.0)
+    assert np.array_equal(gs.inv_apply(range(1, 6), norms), norms)
+    assert np.array_equal(gs.inv_apply(range(996, 1001), norms), norms)
 
 
 def test_gaussian_gamma_converges_to_identity():
@@ -452,12 +455,12 @@ def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
     want = 1.0 / scale[idx]
     assert not gs.inv_scales.flags.writeable
     assert np.array_equal(gs.inv_scales, want)
-    # a unit-step range scales each column by a slice of the same table
-    rows = np.random.default_rng(n_max).standard_normal((n_max - 2, 2))
-    assert np.array_equal(gs.inv_apply(range(3, n_max + 1), rows), rows * want[2:, None])
+    # a unit-step range scales its norms by a slice of the same table
+    norms = np.abs(np.random.default_rng(n_max).standard_normal(n_max - 2))
+    assert np.array_equal(gs.inv_apply(range(3, n_max + 1), norms), norms * want[2:])
     for bad in (range(0, 5), range(n_max - 1, n_max + 2), range(1, 9, 2), [1, 2, 3, 4]):
         with pytest.raises(ValueError):
-            gs.inv_apply(bad, rows[:4])
+            gs.inv_apply(bad, norms[:4])
 
 
 @pytest.mark.parametrize(
@@ -466,23 +469,22 @@ def test_inv_scales_dense_matches_checkpoint_lookup(n_max, law, scheme):
      (M.uniform_cube(2), T.sqrt_n()), (M.atom_ladder(), T.sqrt_n())],
 )
 def test_inv_at_and_inv_apply_read_the_spans(law, scheme):
-    """Each index's scalar and each range's expansion of the spans agree with
-    ``inv_scales``, which the dense test and GAMMA_ORACLE pin independently:
-    every index, and ranges that start or stop on a span's first index, just
-    past it, or on the exact region's edge."""
+    """Each range's expansion of the spans agrees with ``inv_scales``, which
+    the dense test and GAMMA_ORACLE pin independently: ranges that start or
+    stop on a span's first index, just past it, or on the exact region's
+    edge."""
     n_max = 123457
     gs = T.GammaSequence(law, scheme, n_max)
     inv = gs.inv_scales
-    assert np.array_equal([gs.inv_at(k) for k in range(1, n_max + 1)], inv)
     starts = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]]) + 1
     rng = np.random.default_rng(7)
     picks = rng.choice(starts, size=min(len(starts), 40), replace=False)
     edges = sorted({1, 2, T.EXACT_LIMIT, T.EXACT_LIMIT + 1, n_max, n_max + 1,
                     *picks.tolist(), *(picks + 1).tolist()})
-    ones = np.ones((n_max, 2))
+    ones = np.ones(n_max)
     for lo, hi in zip(edges, edges[1:]):
         for ks in (range(lo, hi), range(lo, lo + 1), range(1, hi)):
-            want = np.repeat(inv[ks.start - 1 : ks.stop - 1, None], 2, axis=1)
+            want = inv[ks.start - 1 : ks.stop - 1]
             assert np.array_equal(gs.inv_apply(ks, ones[: len(ks)]), want)
 
 
@@ -500,6 +502,30 @@ def test_falling_levels_keep_their_inverse_scales():
     assert inv[:400].max() > 1.9 * inv[15]
     sup = np.maximum.accumulate(inv[::-1])[::-1]
     assert np.array_equal([gs.inv_sup_from(k) for k in ks], sup)
+
+
+_THREADS_PROBE = """\
+import hashlib
+from lilmax.models import uniform_cube
+from lilmax.truncation import GammaSequence, sqrt_n_invLL5
+inv = GammaSequence(uniform_cube(8), sqrt_n_invLL5(), 10**5).inv_scales
+print(hashlib.sha256(inv.tobytes()).hexdigest())
+"""
+
+
+def test_cube_gamma_does_not_depend_on_blas_threads():
+    """A d = 8 cube table is the same bytes with one OpenBLAS thread or two:
+    the profile's quadrature makes no BLAS call."""
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
 
 
 # Frozen before GammaSequence was trimmed to what its callers read: n0, both

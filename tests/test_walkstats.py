@@ -58,13 +58,11 @@ class _ScaledGamma:
         self.scheme = sqrt_n()
         self._lam = lam
 
-    def inv_apply(self, ns, rows):
-        return np.asarray(rows, dtype=float) / self._lam
+    def inv_apply(self, ns, norms):
+        return norms / self._lam
 
-    def inv_at(self, k):
+    def inv_sup_from(self, k):
         return 1.0 / self._lam
-
-    inv_sup_from = inv_at
 
     @property
     def inv_scales(self):
@@ -87,7 +85,6 @@ def test_zero_walk_classical_value():
     assert rec.argmax_k == 1
     assert rec.max_ratio == 0.0
     assert rec.mode == "classical"
-    assert rec.scheme == "none"
 
 
 def test_toy_two_step_value():
@@ -175,11 +172,19 @@ def test_scaling_covariance_general():
     assert scaled.argmax_k == base.argmax_k
 
 
-@pytest.mark.parametrize("mode", ["classical", "self_normalized"])
-def test_streaming_matches_two_pass(mode):
+@pytest.mark.parametrize(
+    "mode, law",
+    [
+        pytest.param("classical", gaussian_iso(2), id="classical"),
+        pytest.param("self_normalized", gaussian_iso(2), id="self_normalized"),
+        # one span of Gamma_k^-1, about 1.069, over every k: the argmax (572)
+        # sees how Gamma is applied, where the Gaussian's (5140) sees 1.0
+        pytest.param("self_normalized", atom_ladder(0.5, 2, d=2), id="self_normalized-atom_ladder"),
+    ],
+)
+def test_streaming_matches_two_pass(mode, law):
     """One block covers n = 10^4, so streaming must equal a two-pass
     store-all reference exactly."""
-    law = gaussian_iso(2)
     n = 10_000
     seed = 99
     rng = np.random.default_rng(seed)
@@ -192,7 +197,7 @@ def test_streaming_matches_two_pass(mode):
         ratios = np.linalg.norm(s, axis=1) / np.sqrt(ks)
         gs_arg = None
     else:
-        ratios = np.linalg.norm(gs.inv_apply(range(1, n + 1), s), axis=1) / np.sqrt(ks)
+        ratios = walkstats._row_norm(s) * gs.inv_scales / np.sqrt(ks)
         gs_arg = gs
     i = int(np.argmax(ratios))
     norm = normalizers(n, 2)
@@ -403,7 +408,8 @@ def _two_span_walk(s, row):
     levels = np.full(n, 1.5)
     levels[c + 1 :] = 3.0
     gs = GammaSequence(law, table_scheme(levels), n)
-    assert gs.inv_at(c + 2) < gs.inv_at(c + 1) == gs.inv_at(1)
+    inv = gs.inv_scales
+    assert inv[c + 1] < inv[c] == inv[0]
     return from_increments(law, inc), gs
 
 
@@ -459,7 +465,7 @@ def test_pruned_reducer_bound_covers_a_later_rise(monkeypatch):
         truncation, "radial_profile", lambda law, t: profile(law, 4.5 - np.asarray(t))
     )
     gs = GammaSequence(law, table_scheme(levels), n)
-    assert gs.inv_at(c + 2) > 1.5 * gs.inv_at(c + 1)
+    assert gs.inv_scales[c + 1] > 1.5 * gs.inv_scales[c]
     traj = from_increments(law, inc)
     rec = de_statistic(traj, gs, "self_normalized")
     assert (rec.max_ratio, rec.argmax_k) == _every_row(traj, gs, "self_normalized")
@@ -835,5 +841,5 @@ def test_record_finiteness_guard():
     with pytest.raises(ValueError, match="finite"):
         StatRecord(
             mode="classical", value=float("nan"), n=1, argmax_k=1, d=1,
-            law="x", scheme="none", seed="0", max_ratio=0.0,
+            seed="0", max_ratio=0.0,
         )
