@@ -3,14 +3,17 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 17 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 18 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
-``uniform_cube`` at d = 2, 3, 4, 7, 8 (each with its Gaussian reference),
-``gaussian_d1.ini`` at d = 3, 4, 7, 8, and ``gaussian_d1.ini`` in
-self_normalized mode with ``sqrt_n_invLL5`` and, on ``atom_ladder`` c = 0.5,
-with ``sqrt_n`` at d = 1 and d = 2, which write 24 CSVs.  ``lilmax
+``uniform_cube`` at d = 2, 3, 4, 7, 8 and at d = 8 with ``sqrt_n_invLL5``
+(each with its Gaussian reference), ``gaussian_d1.ini`` at d = 3, 4, 7, 8,
+and ``gaussian_d1.ini`` in self_normalized mode with ``sqrt_n_invLL5`` and,
+on ``atom_ladder`` c = 0.5, with ``sqrt_n`` at d = 1 and d = 2, which write
+26 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index floor n0 = 10268
+past the per-index region of ``GammaSequence`` (its reference 5458), so the
+search between two checkpoints is compared too.  ``lilmax
 shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
 ``tightness_fat.ini`` run the same way.  ``lilmax integral-test``, which takes
 no ``--seed``, runs with no config on the three boundary cells (d, a, b) =
@@ -62,6 +65,10 @@ SIMULATE = [
     (f"cube_d{d}", "simulate", "rademacher_d1_selfnorm.ini",
      ["experiment.law.family=uniform_cube", f"experiment.d={d}"])
     for d in (2, 3, 4, 7, 8)
+] + [
+    ("cube_d8_invLL5", "simulate", "rademacher_d1_selfnorm.ini",
+     ["experiment.law.family=uniform_cube", "experiment.d=8",
+      "experiment.scheme.family=sqrt_n_invLL5"]),
 ] + [
     (f"gauss_d{d}", "simulate", "gaussian_d1.ini", [f"experiment.d={d}"])
     for d in (3, 4, 7, 8)

@@ -210,13 +210,12 @@ def _horizon_seed(master_seed: int, index: int) -> int:
 
 
 def probe_exceedance(cfg: ExperimentConfig, horizons, y_grid, threads=1) -> list[dict]:
-    """Exceedance frequencies of the classical statistic at each horizon."""
+    """Exceedance frequencies of the statistic ``cfg`` names at each horizon."""
     rows = []
     for i, horizon in enumerate(horizons):
         sub = replace(
             cfg,
             name=f"{cfg.name}_h{int(horizon)}",
-            mode="classical",
             n=int(horizon),
             master_seed=_horizon_seed(cfg.master_seed, i),
         )
@@ -237,6 +236,8 @@ def cmd_tightness_probe(args) -> int:
             "(tight families have nothing to show here)"
         )
     cfg = experiment_from_parser(cp)
+    if cfg.mode != "classical":
+        raise ConfigError("tightness-probe measures the classical statistic")
     probe_sec = read_section(cp, "probe")
     horizons = config_numbers(probe_sec, "horizons", _PROBE_HORIZONS, whole=True)
     if min(horizons) < 1:

@@ -145,8 +145,6 @@ def chi_norm_tail(d: int, t):
 class ChiTailEnvelope:
     """Empirical min/max of chi_norm_tail(d, t) / (t^{d-2} exp(-t^2/2))."""
 
-    d: int
-    t_grid: np.ndarray
     ratios: np.ndarray
     c1_hat: float
     c2_hat: float
@@ -170,7 +168,7 @@ def chi_tail_envelope(d: int, t_grid) -> ChiTailEnvelope:
     c2 = float(np.max(ratios))
     if not (0.0 < c1 <= c2 < math.inf):
         raise ArithmeticError("envelope degenerated; grid out of usable range")
-    return ChiTailEnvelope(d=d, t_grid=t, ratios=ratios, c1_hat=c1, c2_hat=c2)
+    return ChiTailEnvelope(ratios=ratios, c1_hat=c1, c2_hat=c2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +224,8 @@ class DensityRatioReport:
     R1 + sigma^2 R2 (independent chi-square(1) variables R1, R2) and h1 the
     chi-square(1) density; the analytic bound is 2/sqrt(1 - sigma^2)."""
 
-    sigma: float
-    z_grid: np.ndarray
     ratios: np.ndarray
     max_ratio: float
-    argmax_z: float
     bound: float
 
 
@@ -263,13 +258,9 @@ def aniso_chisq_density_ratio(sigma: float, z_grid) -> DensityRatioReport:
         raise ValueError("need a 1-d grid of positive z values")
     beta = 1.0 / (sigma * sigma) - 1.0
     ratios = math.sqrt(0.5 * math.pi) / sigma * np.sqrt(z) * i0e(0.25 * beta * z)
-    i = int(np.argmax(ratios))
     return DensityRatioReport(
-        sigma=float(sigma),
-        z_grid=z,
         ratios=ratios,
-        max_ratio=float(ratios[i]),
-        argmax_z=float(z[i]),
+        max_ratio=float(np.max(ratios)),
         bound=2.0 / math.sqrt(1.0 - sigma * sigma),
     )
 
@@ -446,11 +437,9 @@ class IntegralProbe:
     the critical line.
     """
 
-    phi: PhiFamily
     ns: np.ndarray
     partial_sums: np.ndarray
     em_validation_rel: float
-    w_mid: np.ndarray
     log_increments: np.ndarray
     slope_linear: float
     slope_loglog: float
@@ -505,11 +494,9 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
         tail_increment = math.inf
 
     return IntegralProbe(
-        phi=phi,
         ns=np.asarray(checkpoints),
         partial_sums=np.asarray(sums),
         em_validation_rel=float(em_rel),
-        w_mid=w_mid,
         log_increments=log_inc,
         slope_linear=slope_linear,
         slope_loglog=slope_loglog,

@@ -479,7 +479,6 @@ def tail_second_moment(law: IncrementLaw, t) -> np.ndarray | float:
 @dataclass(frozen=True)
 class TailProfile:
     t: float
-    tau: float
     ll_t: float
     tau_times_llt: float
 
@@ -490,7 +489,7 @@ def tail_profile(law: IncrementLaw, t_grid) -> list[TailProfile]:
     taus = np.atleast_1d(np.asarray(tail_second_moment(law, t_grid)))
     lls = np.atleast_1d(iterlog(t_grid, 2))
     return [
-        TailProfile(t=float(t), tau=float(tau), ll_t=float(ll), tau_times_llt=float(tau * ll))
+        TailProfile(t=float(t), ll_t=float(ll), tau_times_llt=float(tau * ll))
         for t, tau, ll in zip(t_grid, taus, lls)
     ]
 

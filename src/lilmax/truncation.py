@@ -33,6 +33,16 @@ Two floors compose, both instances of the replace-c_n-by-c_{n v n0} device:
   for diagnostics instead.  When even the window clause is unsatisfiable
   (e.g. a constant table level below the bulk of the law), the eigenvalue
   clause alone decides and the window residual is recorded, never hidden.
+
+The rule runs on the two passes that build the sequence.  The window clause
+and both jump diagnostics read one tail pass over the jump candidates, whose
+first entries are the window itself.  The eigenvalue clause reads one
+profile pass over the checkpoints, each at its own level.  lambda_n is a
+nondecreasing function of c_n, and every accepted level sequence is either a
+nondecreasing table or a family that rises to n = 15, falls to one minimum
+and rises again.  Past the per-index region (n > 10^4) lambda therefore
+first meets the floor where the levels rise, so one more profile call over
+the gap below the first checkpoint that meets it finds the exact index.
 """
 
 from __future__ import annotations
@@ -199,11 +209,13 @@ def _checkpoint_indices(n_max: int) -> np.ndarray:
 def _jump_candidates(law: IncrementLaw, scheme: TruncationScheme, n_max: int) -> np.ndarray:
     """Indices where psi_k = k P{|X| > c_k} must be probed.
 
-    Dense through 4096, geometric past, plus the indices straddling each
-    atom-rung crossing c_k = t_j, which is where psi peaks for ladder laws.
+    Dense through JUMP_WINDOW, geometric past, plus the indices straddling
+    each atom-rung crossing c_k = t_j, which is where psi peaks for ladder
+    laws.  Sorted and unique, so the first min(n_max, JUMP_WINDOW) entries
+    are exactly the early window 1, 2, ...
     """
-    ks = list(range(1, min(n_max, 4096) + 1))
-    k = 4096
+    ks = list(range(1, min(n_max, JUMP_WINDOW) + 1))
+    k = JUMP_WINDOW
     while k < n_max:
         k = max(k + 1, int(k * 1.01))
         ks.append(min(k, n_max))
@@ -226,33 +238,21 @@ def _jump_candidates(law: IncrementLaw, scheme: TruncationScheme, n_max: int) ->
     return np.unique(np.asarray(ks, dtype=np.int64))
 
 
-def _eigenvalue_floor_index(law: IncrementLaw, scheme: TruncationScheme, n_max: int) -> int:
-    """Smallest n <= n_max with lambda_min(Gamma_n) = sqrt(a(c_n)) >= LAMBDA_FLOOR
-    (isotropic laws).
-
-    Scanned in blocks of 1, 2, 4, ... indices, so a floor met at n = 1
-    costs one profile call and a floor never met about log2(n_max) calls.
-    """
-    lo, size = 1, 1
-    while lo <= n_max:
-        ks = np.arange(lo, min(lo + size, n_max + 1))
-        a = radial_profile(law, c_levels(scheme, ks))
-        ok = np.sqrt(np.maximum(a, 0.0)) >= LAMBDA_FLOOR
-        if ok.any():
-            return lo + int(np.argmax(ok))
-        lo, size = lo + size, 2 * size
-    raise NearSingularError(
-        f"no index up to {n_max} reaches the eigenvalue floor "
-        f"{LAMBDA_FLOOR} for {law_id(law)}"
-    )
+def _eigenvalues(law: IncrementLaw, scheme: TruncationScheme, ks) -> np.ndarray:
+    """lambda(Gamma_k) = sqrt(a(c_{k v n0})) at the indices ``ks``; every
+    catalogue law is isotropic, so Gamma_k = lambda(Gamma_k) * I."""
+    return np.sqrt(np.clip(np.asarray(radial_profile(law, c_levels(scheme, ks))), 0.0, None))
 
 
 class GammaSequence:
     """Read-only cache of Gamma_n = psd_sqrt(A(c_{n v n0})^2) over 1..n_max.
 
     Exact per index through 10^4, geometric checkpoints (ratio 1.001, value
-    held piecewise constant) beyond.  Construction runs the n0 rule, both
-    jump diagnostics and the eigenvalue-floor check on the checkpoints, and
+    held piecewise constant) beyond.  Construction runs the n0 rule (see
+    Index floors), both jump diagnostics and the eigenvalue-floor check on
+    one profile pass over the checkpoints and one tail pass over the jump
+    candidates, plus a profile call over one checkpoint gap when the floor
+    is first met past 10^4 and one at c_{n0}, the value held below n0.  It
     keeps 1/lambda(Gamma_n) as spans: a first index and a value for each run
     of equal held values (one span for uniform_cube under ``sqrt_n``, at
     most one per checkpoint).  Self_normalized mode reads them through
@@ -269,46 +269,55 @@ class GammaSequence:
         self.scheme = scheme
         self.n_max = int(n_max)
 
-        # psi_k = k P{|X| > c_k} on the early window
-        w = min(self.n_max, JUMP_WINDOW)
-        ks = np.arange(1, w + 1)
-        psi = ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))
-        self.n0 = self._default_n0(psi)
-        self.jump_residual = float(psi[min(self.n0, w) - 1 :].max())
+        # window clause on psi_k = k P{|X| > c_k}, whose first w entries are
+        # the early window 1..w; when it cannot be met, the eigenvalue clause
+        # alone decides
         ks = _jump_candidates(law, scheme, self.n_max)
-        ks = ks[ks >= min(self.n0, self.n_max)]
-        self.jump_horizon_sup = float(
-            (ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))).max()
-        )
+        psi = ks * np.asarray(prob_tail(law, c_levels(scheme, ks)))
+        w = min(self.n_max, JUMP_WINDOW)
+        ok = np.maximum.accumulate(psi[w - 1 :: -1])[::-1] <= JUMP_BUDGET
+        n_window = int(np.argmax(ok)) + 1 if ok.any() else 1
 
+        # eigenvalue clause: the first index with lambda(Gamma_n) >= LAMBDA_FLOOR
         ns = _checkpoint_indices(self.n_max)
-        c = c_levels(scheme, np.maximum(ns, self.n0))
-        # every catalogue law is isotropic: A(c)^2 = a(c) * I
-        scale = np.sqrt(np.clip(np.asarray(radial_profile(law, c)), 0.0, None))
-        bad = scale < LAMBDA_FLOOR * (1.0 - 1e-12)
+        lam = _eigenvalues(law, scheme, ns)
+        met = np.flatnonzero(lam >= LAMBDA_FLOOR)
+        if not met.size:
+            raise NearSingularError(
+                f"no index up to {self.n_max} reaches the eigenvalue floor "
+                f"{LAMBDA_FLOOR} for {law_id(law)}"
+            )
+        n_eig = int(ns[met[0]])
+        if n_eig > EXACT_LIMIT:
+            # lambda first meets the floor where the levels rise (see Index
+            # floors), so inside the gap after the previous checkpoint
+            gap = np.arange(ns[met[0] - 1] + 1, n_eig)
+            hit = np.flatnonzero(_eigenvalues(law, scheme, gap) >= LAMBDA_FLOOR)
+            if hit.size:
+                n_eig = int(gap[hit[0]])
+
+        self.n0 = max(n_eig, n_window)
+        self.jump_residual = float(psi[min(self.n0, w) - 1 : w].max())
+        self.jump_horizon_sup = float(psi[ks >= self.n0].max())
+
+        # the checkpoints below n0 hold lambda at c_{n0}
+        if self.n0 > 1:
+            lam[ns < self.n0] = _eigenvalues(law, scheme, np.asarray([self.n0]))
+        bad = lam < LAMBDA_FLOOR * (1.0 - 1e-12)
         if bad.any():
             raise NearSingularError(
-                f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {scale[bad][0]:.3g} "
+                f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {lam[bad][0]:.3g} "
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
         # each checkpoint's value is held up to the next checkpoint; a span
         # starts where the held value changes.  The first indices are a list
         # for bisect, which is several times faster than a scalar searchsorted
-        inv = 1.0 / scale
+        inv = 1.0 / lam
         first = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]])
         self._span_start, self._span_inv = ns[first].tolist(), inv[first]
         # the largest value from each span on: the span's own value wherever
         # the values never rise, and still a bound where they do
         self._span_sup = np.maximum.accumulate(self._span_inv[::-1])[::-1]
-
-    def _default_n0(self, psi: np.ndarray) -> int:
-        n_eig = _eigenvalue_floor_index(self.law, self.scheme, self.n_max)
-        # jump-visibility clause on the early window
-        suffix = np.maximum.accumulate(psi[::-1])[::-1]
-        ok = suffix <= JUMP_BUDGET
-        if ok.any():
-            return max(n_eig, int(np.argmax(ok)) + 1)
-        return n_eig  # window clause unsatisfiable: eigenvalue clause decides
 
     def inv_sup_from(self, k: int) -> float:
         """max of 1/lambda(Gamma_j) over k <= j <= n_max: 1/lambda(Gamma_k)
@@ -398,10 +407,7 @@ def feller_bn_prefix(law: IncrementLaw, scheme: TruncationScheme, n: int) -> np.
 
 @dataclass(frozen=True)
 class GrowthWindowReport:
-    scheme: str
-    n_grid: tuple
     eps_hat: tuple
-    tail_slope: float
     verdict: str
     analytic: bool
 
@@ -425,10 +431,11 @@ def validate_growth_window(scheme: TruncationScheme, n_grid) -> GrowthWindowRepo
 
         eps_hat(n) = log( max(|log(c_n / sqrt n)|, 1) ) / LL(n),
 
-    reported along the grid with an ordinary least-squares slope of eps_hat
-    against LL(n) over the tail half.  Built-in families carry exact analytic
+    reported along the grid.  Built-in families carry exact analytic
     verdicts (their log ratio is a multiple of LLL(n), which grows slower
-    than any (log n)^eps); the numeric trend decides only for tables.
+    than any (log n)^eps).  Only for tables does the numeric trend decide:
+    the tail half of eps_hat and its ordinary least-squares slope against
+    LL(n).
     """
     g = _validate_grid(n_grid, 16.0)
     c = c_levels(scheme, g)
@@ -436,14 +443,13 @@ def validate_growth_window(scheme: TruncationScheme, n_grid) -> GrowthWindowRepo
     lls = np.asarray(iterlog(g, 2), dtype=float)
     eps_hat = np.log(np.maximum(ratio, 1.0)) / lls
 
-    tail = eps_hat[len(eps_hat) // 2 :]
-    x = lls[len(eps_hat) // 2 :]
-    slope = float(np.polyfit(x, tail, 1)[0]) if len(tail) >= 2 else 0.0
-
     if scheme.family in ("sqrt_n", "sqrt_n_invLL5", "sqrt_n_polylog"):
         verdict, analytic = "PASS", True
     else:
         analytic = False
+        tail = eps_hat[len(eps_hat) // 2 :]
+        x = lls[len(eps_hat) // 2 :]
+        slope = float(np.polyfit(x, tail, 1)[0]) if len(tail) >= 2 else 0.0
         if float(tail.max()) < 0.05:
             verdict = "PASS"
         elif slope < -0.02 and tail[-1] < 0.8 * tail[0]:
@@ -454,10 +460,7 @@ def validate_growth_window(scheme: TruncationScheme, n_grid) -> GrowthWindowRepo
             verdict = "INCONCLUSIVE"
 
     return GrowthWindowReport(
-        scheme=scheme_id(scheme),
-        n_grid=tuple(float(v) for v in g),
         eps_hat=tuple(float(v) for v in eps_hat),
-        tail_slope=slope,
         verdict=verdict,
         analytic=analytic,
     )
@@ -466,8 +469,6 @@ def validate_growth_window(scheme: TruncationScheme, n_grid) -> GrowthWindowRepo
 @dataclass(frozen=True)
 class TailConditionReport:
     law: str
-    which: str
-    rows: tuple
     limit_estimate: float
     verdict: str
 
@@ -491,20 +492,18 @@ _BIG_O_VERDICT = {
 def validate_tail_condition(law: IncrementLaw, which: str, t_grid) -> TailConditionReport:
     """Check the compound tail condition tau(t) * LL(t) -> 0 (small_o) or O(1) (big_O).
 
-    Catalogued families get exact analytic verdicts; the grid rows document
-    the trend that a finite-data diagnostic would see.
+    Catalogued families get exact analytic verdicts; the limit estimate, the
+    median of tau(t) * LL(t) over the grid's tail half, shows the trend that
+    a finite-data diagnostic would see.
     """
     if which not in ("small_o", "big_O"):
         raise ValueError("which must be 'small_o' or 'big_O'")
     g = _validate_grid(t_grid, 1.0)
-    rows = tuple(tail_profile(law, g))
-    vals = np.asarray([r.tau_times_llt for r in rows])
+    vals = np.asarray([r.tau_times_llt for r in tail_profile(law, g)])
     limit = float(np.median(vals[len(vals) // 2 :]))
     verdict = (_SMALL_O_VERDICT if which == "small_o" else _BIG_O_VERDICT)[law.family]
     return TailConditionReport(
         law=law_id(law),
-        which=which,
-        rows=rows,
         limit_estimate=limit,
         verdict=verdict,
     )

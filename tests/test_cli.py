@@ -387,6 +387,20 @@ def test_tightness_probe_rows_and_flag(tmp_path, capsys):
     assert isinstance(payload["drift_downward"], bool)
 
 
+@pytest.mark.parametrize("command", ["shift-experiment", "tightness-probe"])
+def test_classical_probes_reject_other_modes(tmp_path, capsys, command):
+    # both subcommands measure the classical statistic; another mode is a
+    # config error, not a run that silently measures something else
+    text = {"shift-experiment": SHIFT_INI, "tightness-probe": PROBE_INI}[command]
+    cfg = _write(tmp_path, "p.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--set", "experiment.mode=feller",
+                 "--set", "experiment.scheme.family=sqrt_n"]) == 2
+    assert f"{command} measures the classical statistic" in capsys.readouterr().err
+    assert not (out / "summary.jsonl").exists()
+
+
 def test_tightness_probe_rejects_tight_laws(tmp_path, capsys):
     cfg = _write(tmp_path, "g.ini", GAUSS_INI)
     assert main(["tightness-probe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

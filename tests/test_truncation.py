@@ -301,11 +301,22 @@ def test_default_n0_values():
 
 def _scalar_eigenvalue_floor_index(law, scheme, n_max):
     """The eigenvalue clause as one profile call per index, the reference
-    for the blocked scan."""
+    for the checkpoint pass and its gap refinement."""
     for n in range(1, n_max + 1):
         a = float(M.radial_profile(law, T.c_level(scheme, n)))
         if math.sqrt(max(a, 0.0)) >= T.LAMBDA_FLOOR:
             return n
+    return None
+
+
+def _scalar_window_index(law, scheme, n_max):
+    """The window clause read index by index: the first n whose suffix of
+    psi_k = k P{|X| > c_k} over the early window stays within the budget."""
+    ks = np.arange(1, min(n_max, T.JUMP_WINDOW) + 1)
+    psi = ks * M.prob_tail(law, T.c_levels(scheme, ks))
+    for n in ks:
+        if psi[n - 1 :].max() <= T.JUMP_BUDGET:
+            return int(n)
     return None
 
 
@@ -324,17 +335,33 @@ _CLAUSE_SCHEMES = [
 
 @pytest.mark.parametrize("law", _CLAUSE_LAWS, ids=M.law_id)
 def test_eigenvalue_clause_matches_scalar_loop(law):
+    """n0 is the later of the two clauses read index by index, or the window
+    clause is unsatisfiable and the eigenvalue clause decides; the build
+    raises where the scalar reference finds no index, or where an index
+    holds an eigenvalue below the floor from n0 on."""
     n_max = 3000
+    ks = np.arange(1, n_max + 1)
     for scheme in _CLAUSE_SCHEMES:
-        want = _scalar_eigenvalue_floor_index(law, scheme, n_max)
-        if want is None:
+        n_eig = _scalar_eigenvalue_floor_index(law, scheme, n_max)
+        if n_eig is None:
             with pytest.raises(NearSingularError, match="no index up to 3000"):
-                T._eigenvalue_floor_index(law, scheme, n_max)
+                T.GammaSequence(law, scheme, n_max)
+            continue
+        n_window = _scalar_window_index(law, scheme, n_max)
+        n0 = n_eig if n_window is None else max(n_eig, n_window)
+        a = M.radial_profile(law, T.c_levels(scheme, np.maximum(ks, n0)))
+        low = np.flatnonzero(np.sqrt(np.clip(a, 0.0, None)) < T.LAMBDA_FLOOR * (1.0 - 1e-12))
+        if low.size:
+            with pytest.raises(NearSingularError, match=f"Gamma_{low[0] + 1} has .*n0 = {n0} "):
+                T.GammaSequence(law, scheme, n_max)
         else:
-            assert T._eigenvalue_floor_index(law, scheme, n_max) == want, T.scheme_id(scheme)
+            assert T.GammaSequence(law, scheme, n_max).n0 == n0, T.scheme_id(scheme)
 
 
-def test_eigenvalue_clause_scans_in_growing_blocks(monkeypatch):
+def test_eigenvalue_clause_costs_one_checkpoint_pass(monkeypatch):
+    law = M.gaussian_iso(1)
+    table = T.table_scheme(np.linspace(0.01, 0.6, 20000))
+    want = _scalar_eigenvalue_floor_index(law, table, 20000)
     calls = []
     profile = T.radial_profile
 
@@ -343,16 +370,25 @@ def test_eigenvalue_clause_scans_in_growing_blocks(monkeypatch):
         return profile(law, t)
 
     monkeypatch.setattr(T, "radial_profile", counted)
-    # a floor met at n = 1 costs one call of one index
-    assert T.GammaSequence(M.gaussian_iso(1), T.sqrt_n(), 10**5).n0 == 12
-    assert calls[0] == 1
-    # a floor never met: about log2(n) calls, not one per index
+    # a floor met inside 10^4: one call over the checkpoints and one at c_{n0}
+    n = 10**5
+    assert T.GammaSequence(law, T.sqrt_n(), n).n0 == 12
+    assert calls == [len(T._checkpoint_indices(n)), 1]
+    # met past 10^4: one more call scans the gap below the first checkpoint
+    # that meets it, which finds the same index as the scalar loop
+    calls.clear()
+    gs = T.GammaSequence(law, table, 20000)
+    assert gs.n0 == want > T.EXACT_LIMIT
+    ns = T._checkpoint_indices(20000)
+    i = np.searchsorted(ns, want)  # the first checkpoint at or past the floor
+    assert calls == [len(ns), ns[i] - ns[i - 1] - 1, 1]
+    # a floor never met: the checkpoint call alone, not one per index
     n = 10**6
     for scheme in (T.table_scheme([0.01] * n), T.sqrt_n_polylog(-20.0)):
         calls.clear()
         with pytest.raises(NearSingularError, match=f"no index up to {n} reaches"):
-            T.GammaSequence(M.gaussian_iso(1), scheme, n)
-        assert len(calls) <= 40 and sum(calls) == n
+            T.GammaSequence(law, scheme, n)
+        assert calls == [len(T._checkpoint_indices(n))]
 
 
 def test_ladder_jump_bookkeeping():

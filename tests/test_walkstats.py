@@ -727,6 +727,28 @@ def test_replay_determinism(seed):
     assert a.seed == b.seed
 
 
+def test_ladder_shift_is_a_path_identity():
+    """Under sqrt_n no atom-ladder level c_k = sqrt(k) reaches rung 2 before
+    k ~ 2.6e6, so Gamma_k = sigma * I with sigma = sqrt(0.75) on the whole
+    horizon.  On every path the classical value is then
+    sigma * (self-normalized value) - (1 - sigma) * b_{1,n}: the
+    variance deficit (1 - sigma) * b_{1,n} that shift-experiment tabulates
+    is the mechanism of the shift, not a coincidence of medians."""
+    law, n = atom_ladder(0.5, 2, d=1), 10**4
+    gs = GammaSequence(law, sqrt_n(), n)
+    sigma = math.sqrt(0.75)
+    assert np.all(gs.inv_scales == gs.inv_scales[0])
+    assert gs.inv_scales[0] == pytest.approx(1.0 / sigma, rel=1e-15)
+    b = normalizers(n, 1).b_dn
+    errors = {}
+    for seed in range(50):
+        traj = trajectory(law, n, seed)
+        cl = de_statistic(traj, gs, "classical").value
+        sn = de_statistic(traj, gs, "self_normalized").value
+        errors[seed] = abs(cl - (sigma * sn - (1.0 - sigma) * b))
+    assert max(errors.values()) <= 1e-13, {s: e for s, e in errors.items() if e > 1e-13}
+
+
 # ---------------------------------------------------------------------------
 # de_statistic: feller mode
 # ---------------------------------------------------------------------------
