@@ -3,23 +3,26 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 18 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 19 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
 ``uniform_cube`` at d = 2, 3, 4, 7, 8 and at d = 8 with ``sqrt_n_invLL5``
 (each with its Gaussian reference), ``gaussian_d1.ini`` at d = 3, 4, 7, 8,
-and ``gaussian_d1.ini`` in self_normalized mode with ``sqrt_n_invLL5`` and,
-on ``atom_ladder`` c = 0.5, with ``sqrt_n`` at d = 1 and d = 2, which write
-26 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index floor n0 = 10268
-past the per-index region of ``GammaSequence`` (its reference 5458), so the
-search between two checkpoints is compared too.  ``lilmax
-shift-experiment`` on ``shift_ladder.ini`` and ``lilmax tightness-probe`` on
-``tightness_fat.ini`` run the same way.  ``lilmax integral-test``, which takes
-no ``--seed``, runs with no config on the three boundary cells (d, a, b) =
-(1, 2, 1), (2, 4, 3) and (3, 5, 2), once at the default ``integral.n_max``
-and once at 123457, which is not a multiple of the probe's block size.
-Each side uses its own ``configs/``.
+and ``gaussian_d1.ini`` in self_normalized mode with ``sqrt_n_invLL5``,
+with ``sqrt_n_polylog`` q = -2.5 (``GammaSequence`` index floor n0 = 239,
+2224 spans) and, on ``atom_ladder`` c = 0.5, with ``sqrt_n`` at d = 1 and
+d = 2, which write 27 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index
+floor n0 = 10268 past the per-index region of ``GammaSequence`` (its
+reference 5458), so the search between two checkpoints is compared too.
+``lilmax shift-experiment`` on ``shift_ladder.ini`` and ``lilmax
+tightness-probe`` on ``tightness_fat.ini`` run the same way.  The commands
+that take no ``--seed`` run without it: ``lilmax integral-test`` with no
+config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
+(3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
+is not a multiple of the probe's block size; ``lilmax validate`` with no
+config, on ``shift_ladder.ini`` and with ``sqrt_n_polylog`` q = 2; and
+``lilmax tail-bounds``.  Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
 output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
@@ -52,6 +55,7 @@ from bench_pairs import extract_revision  # noqa: E402
 RUN_TIMEOUT_S = 900
 COMMON = ["--set", "experiment.replications=12"]
 SEED = ["--seed", "1608"]  # overrides a config's master seed
+SEEDED = ("simulate", "shift-experiment", "tightness-probe", "replay")  # take --seed
 REPLAY_INDEX = 11
 
 # (run name, subcommand, bundled config, extra --set overrides)
@@ -81,10 +85,19 @@ SIMULATE = [
      ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n",
       "experiment.law.family=atom_ladder", "experiment.law.c=0.5", f"experiment.d={d}"])
     for d in (1, 2)
+] + [
+    ("selfnorm_polylog_d1", "simulate", "gaussian_d1.ini",
+     ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n_polylog",
+      "experiment.scheme.q=-2.5"]),
 ]
 COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
     ("tightness_fat_cmd", "tightness-probe", "tightness_fat.ini", []),
+    ("validate_default", "validate", None, []),
+    ("validate_shift_ladder", "validate", "shift_ladder.ini", []),
+    ("validate_polylog", "validate", None,
+     ["experiment.scheme.family=sqrt_n_polylog", "experiment.scheme.q=2"]),
+    ("tail_bounds", "tail-bounds", None, []),
 ] + [
     (f"integral_d{d}_a{a}_b{b}{tag}", "integral-test", None,
      [f"integral.d={d}", f"integral.a={a}", f"integral.b={b}", *n_max])
@@ -96,13 +109,16 @@ COMMANDS = [
 def run_lilmax(tree: str, command: str, config: str | None, sets: list, out: str,
            extra: tuple = ()) -> subprocess.CompletedProcess:
     """``lilmax COMMAND`` from ``tree``'s own sources and configs; no
-    ``--config`` and no ``--seed`` when ``config`` is None."""
+    ``--config`` when ``config`` is None, and ``--seed`` only with a config
+    and a command that takes it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(tree, "src"), env.get("PYTHONPATH")]))
     args = [sys.executable, "-m", "lilmax.cli", command, "--out", out, *COMMON]
     if config is not None:
-        args += ["--config", os.path.join(tree, "configs", config), *SEED]
+        args += ["--config", os.path.join(tree, "configs", config)]
+        if command in SEEDED:
+            args += SEED
     for item in sets:
         args += ["--set", item]
     return subprocess.run(args + list(extra), cwd=tree, env=env, capture_output=True,

@@ -150,12 +150,13 @@ def cmd_shift_experiment(args) -> int:
     law_map = read_section(cp, "experiment.law")
     if law_map.get("family") != "atom_ladder":
         raise ConfigError("shift-experiment requires an atom_ladder increment law")
-    c = config_number(law_map, "c", 0.5)
+    # c = 0 is no ladder, only the degenerate table; any other c is the law's
+    degenerate = "c" in law_map and config_number(law_map, "c") == 0.0
     grid = config_numbers(read_section(cp, "shift"), "n_grid", _DRIVER_GRID, whole=True)
     if min(grid) < 1:
         raise ConfigError(f"shift.n_grid: horizons must be >= 1, got {grid}")
 
-    if c == 0.0:
+    if degenerate:
         rows = shift_driver_table(None, grid)
         print("degenerate c=0 ladder: driver is identically 0, skipping Monte Carlo")
         for row in rows:
@@ -174,6 +175,7 @@ def cmd_shift_experiment(args) -> int:
         raise ConfigError("shift-experiment needs a [reference] section for the median comparison")
 
     rows = shift_driver_table(cfg.law, grid)
+    c = cfg.law.c
     print(f"shift driver for c={c} (target: driver -> c):")
     for row in rows:
         print(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")

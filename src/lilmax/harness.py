@@ -33,16 +33,8 @@ import scipy
 
 from . import __version__
 from .limits import GumbelLaw
-from .models import IncrementLaw, law_id
-from .truncation import (
-    GammaSequence,
-    TruncationScheme,
-    scheme_id,
-    sqrt_n,
-    sqrt_n_invLL5,
-    sqrt_n_polylog,
-    table_scheme,
-)
+from .models import FAMILIES, IncrementLaw, law_id
+from .truncation import SCHEME_FAMILIES, GammaSequence, TruncationScheme, scheme_id
 from .walkstats import MODES, StatRecord, de_statistic, trajectory
 
 CSV_HEADER = "replication_index,mode,value,argmax_k,n,d,seed"
@@ -140,12 +132,13 @@ def apply_overrides(cp: configparser.ConfigParser, overrides: Sequence[str]) -> 
 
 
 # The keys a section may set, by the part of its name after the last dot; a
-# [reference] section sets the keys of [experiment].  The law and scheme sets
-# are unions over their families.
+# [reference] section sets the keys of [experiment].  A law or scheme
+# section may set those of any family; ``_from_family`` narrows them to the
+# family it names.
 KNOWN_KEYS = {
     "experiment": ("name", "mode", "d", "n", "replications", "master_seed"),
-    "law": ("family", "d", "c", "k0", "direction_mode"),
-    "scheme": ("family", "n0", "q", "levels"),
+    "law": ("family", *dict.fromkeys(k for _, ks in FAMILIES.values() for k in ks)),
+    "scheme": ("family", *dict.fromkeys(k for _, ks in SCHEME_FAMILIES.values() for k in ks)),
     "shift": ("n_grid",),
     "probe": ("horizons", "y_grid"),
     "integral": ("a", "b", "d", "n_max"),
@@ -220,40 +213,42 @@ def config_numbers(sec: dict, key: str, default, whole: bool = False) -> list:
     )
 
 
-def law_from_mapping(m: dict, d: int = 1) -> IncrementLaw:
-    """The increment law of a [*.law] section; ``d`` when it sets none."""
-    fam = m.get("family")
-    if fam is None:
+def _from_family(kind: str, families: dict, m: dict, section: str, **given):
+    """The ``kind`` that the family ``m`` names builds from ``given`` and the
+    keys ``m`` sets; a key that family does not take is a config error."""
+    fam = m["family"]
+    if fam not in families:
+        raise ConfigError(f"bad {kind} section: unknown {kind} family {fam!r}")
+    build, keys = families[fam]
+    foreign = sorted(set(m) - {"family", *keys})
+    if foreign:
+        raise ConfigError(
+            f"key {foreign[0]!r} in [{section}] does not apply to {kind} family "
+            f"{fam!r}, which takes {', '.join(keys)}"
+        )
+    try:
+        for key in keys:
+            if key in m:
+                given[key] = (
+                    config_numbers(m, key, ()) if key == "levels"
+                    else config_number(m, key, whole=key in ("d", "k0", "n0"))
+                )
+        return build(**given)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} section: {exc}") from exc
+
+
+def law_from_mapping(m: dict, d: int = 1, section: str = "*.law") -> IncrementLaw:
+    """The increment law of the law section ``section``; ``d`` when it sets none."""
+    if "family" not in m:
         raise ConfigError("law section needs a 'family' key")
-    try:
-        kw = {"family": fam, "d": config_number(m, "d", d, whole=True)}
-        if fam in ("atom_ladder", "atom_ladder_fat"):
-            kw["k0"] = config_number(m, "k0", 2, whole=True)
-            kw["direction_mode"] = m.get("direction_mode", "sphere")
-        if fam == "atom_ladder":
-            kw["c"] = config_number(m, "c", 0.5)
-        return IncrementLaw(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"bad law section: {exc}") from exc
+    return _from_family("law", FAMILIES, m, section, d=d)
 
 
-def scheme_from_mapping(m: dict) -> TruncationScheme:
-    """The truncation scheme of a [*.scheme] section (family ``sqrt_n`` when
-    it names none); ``n0`` defaults to the family's own floor, ``q`` to 0."""
-    fam = m.get("family", "sqrt_n")
-    try:
-        kw = {"n0": config_number(m, "n0", whole=True)} if "n0" in m else {}
-        if fam == "sqrt_n":
-            return sqrt_n(**kw)
-        if fam == "sqrt_n_invLL5":
-            return sqrt_n_invLL5(**kw)
-        if fam == "sqrt_n_polylog":
-            return sqrt_n_polylog(config_number(m, "q", 0.0), **kw)
-        if fam == "table":
-            return table_scheme(config_numbers(m, "levels", ()), **kw)
-        raise ValueError(f"unknown scheme family {fam!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad scheme section: {exc}") from exc
+def scheme_from_mapping(m: dict, section: str = "*.scheme") -> TruncationScheme:
+    """The truncation scheme of the scheme section ``section``, family
+    ``sqrt_n`` when it names none."""
+    return _from_family("scheme", SCHEME_FAMILIES, {"family": "sqrt_n", **m}, section)
 
 
 def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[TruncationScheme]:
@@ -267,7 +262,7 @@ def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[Truncat
                 f"[{section}.scheme] sets {', '.join(extra)} but names no scheme family"
             )
         return None
-    return scheme_from_mapping(m)
+    return scheme_from_mapping(m, f"{section}.scheme")
 
 
 def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> IncrementLaw:
@@ -279,7 +274,7 @@ def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> Increme
         raise ConfigError(
             f"[{section}] d = {d} disagrees with [{section}.law] d = {m['d']}"
         )
-    return law_from_mapping(m, d)
+    return law_from_mapping(m, d, f"{section}.law")
 
 
 def experiment_from_parser(

@@ -44,16 +44,6 @@ from .psdmat import MAX_DIM
 # about 0.2 s at import, and the classical statistic never calls it.  Each
 # function below that needs one imports it in its body.
 
-FAMILIES = (
-    "gaussian_iso",
-    "rademacher_product",
-    "uniform_cube",
-    "atom_ladder",
-    "atom_ladder_fat",
-)
-
-DIRECTION_MODES = ("sphere", "axes")
-
 _CUBE_HALF = math.sqrt(3.0)  # uniform half-width giving unit variance
 _LADDER_WEIGHT_FLOOR = 1.0e-300
 
@@ -66,7 +56,6 @@ class IncrementLaw:
     d: int
     c: float = 0.0
     k0: int = 0
-    direction_mode: str = "sphere"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -74,8 +63,6 @@ class IncrementLaw:
         if not 1 <= self.d <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
         if self.family in ("atom_ladder", "atom_ladder_fat"):
-            if self.direction_mode not in DIRECTION_MODES:
-                raise ValueError(f"direction_mode must be one of {DIRECTION_MODES}")
             if self.k0 < 1:
                 raise ValueError(f"k0 must be >= 1, got {self.k0}")
             if self.family == "atom_ladder":
@@ -100,20 +87,32 @@ def uniform_cube(d: int = 1) -> IncrementLaw:
     return IncrementLaw(family="uniform_cube", d=d)
 
 
-def atom_ladder(c: float = 0.5, k0: int = 2, d: int = 1, direction_mode: str = "sphere") -> IncrementLaw:
-    return IncrementLaw(family="atom_ladder", d=d, c=c, k0=k0, direction_mode=direction_mode)
+def atom_ladder(c: float = 0.5, k0: int = 2, d: int = 1) -> IncrementLaw:
+    return IncrementLaw(family="atom_ladder", d=d, c=c, k0=k0)
 
 
-def atom_ladder_fat(k0: int = 2, d: int = 1, direction_mode: str = "sphere") -> IncrementLaw:
-    return IncrementLaw(family="atom_ladder_fat", d=d, k0=k0, direction_mode=direction_mode)
+def atom_ladder_fat(k0: int = 2, d: int = 1) -> IncrementLaw:
+    return IncrementLaw(family="atom_ladder_fat", d=d, k0=k0)
+
+
+# Each family's constructor and its parameters, the keys a config's law
+# section may set besides 'family'; the defaults are the constructor's.
+FAMILIES = {
+    "gaussian_iso": (gaussian_iso, ("d",)),
+    "rademacher_product": (rademacher_product, ("d",)),
+    "uniform_cube": (uniform_cube, ("d",)),
+    "atom_ladder": (atom_ladder, ("d", "c", "k0")),
+    "atom_ladder_fat": (atom_ladder_fat, ("d", "k0")),
+}
 
 
 def law_id(law: IncrementLaw) -> str:
-    """Stable compact identifier used in records, filenames, and configs."""
+    """Stable compact identifier used in records, filenames, and configs; a
+    ladder's ends in ``-sphere``, where its directions lie."""
     if law.family == "atom_ladder":
-        return f"atom_ladder-d{law.d}-c{law.c:g}-k0{law.k0}-{law.direction_mode}"
+        return f"atom_ladder-d{law.d}-c{law.c:g}-k0{law.k0}-sphere"
     if law.family == "atom_ladder_fat":
-        return f"atom_ladder_fat-d{law.d}-k0{law.k0}-{law.direction_mode}"
+        return f"atom_ladder_fat-d{law.d}-k0{law.k0}-sphere"
     return f"{law.family}-d{law.d}"
 
 
@@ -499,21 +498,31 @@ def tail_profile(law: IncrementLaw, t_grid) -> list[TailProfile]:
 # ---------------------------------------------------------------------------
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array; bit-identical to
+    ``np.linalg.norm(x, axis=1)`` in the order it adds the squares.
+
+    d = 1 returns |x|, which equals sqrt(x*x) unless x*x under- or overflows.
+    """
+    d = x.shape[1]
+    if d == 1:
+        return np.abs(x[:, 0])
+    if d == MAX_DIM:
+        return np.linalg.norm(x, axis=1)
+    acc = x[:, 0] * x[:, 0]
+    for j in range(1, d):
+        acc += x[:, j] * x[:, j]
+    return np.sqrt(acc, out=acc)
+
+
 def _sample_directions(law: IncrementLaw, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Unit directions for d >= 2 (a d = 1 ladder draws its sign in ``sample``)."""
-    d = law.d
-    if law.direction_mode == "sphere":
-        z = rng.standard_normal((m, d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        # a zero vector has probability zero; guard anyway
-        norms[norms == 0.0] = 1.0
-        return z / norms
-    # signed coordinate axes: E[theta theta^T] = I/d as for the sphere
-    axes = rng.integers(0, d, size=m)
-    signs = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-    out = np.zeros((m, d))
-    out[np.arange(m), axes] = signs
-    return out
+    """Uniform unit directions for d >= 2 (a d = 1 ladder draws its sign in
+    ``sample``)."""
+    z = rng.standard_normal((m, law.d))
+    norms = _row_norm(z)
+    # a zero vector has probability zero; guard anyway
+    norms[norms == 0.0] = 1.0
+    return z / norms[:, None]
 
 
 def sample(

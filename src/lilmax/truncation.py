@@ -59,8 +59,6 @@ from .iterlog import iterlog
 from .models import IncrementLaw, law_id, prob_tail, radial_profile, tail_profile
 from .psdmat import NearSingularError
 
-SCHEME_FAMILIES = ("sqrt_n", "sqrt_n_invLL5", "sqrt_n_polylog", "table")
-
 LAMBDA_FLOOR = 0.1       # smallest admissible eigenvalue of Gamma_n
 JUMP_BUDGET = 0.01       # admissible sup of k * P{|X| > c_k} on the early window
 JUMP_WINDOW = 4096       # early-term window the budget clause scans
@@ -143,15 +141,25 @@ def sqrt_n_invLL5(n0: Optional[int] = None) -> TruncationScheme:
     return TruncationScheme(family="sqrt_n_invLL5", n0=n0)
 
 
-def sqrt_n_polylog(q: float, n0: Optional[int] = None) -> TruncationScheme:
+def sqrt_n_polylog(q: float = 0.0, n0: Optional[int] = None) -> TruncationScheme:
     if n0 is None:
         # out of range, q is rejected below; the floor search would not end at -inf
         n0 = _monotone_floor(-q) if -20.0 <= q < 0 else 1
     return TruncationScheme(family="sqrt_n_polylog", q=float(q), n0=n0)
 
 
-def table_scheme(levels, n0: int = 1) -> TruncationScheme:
+def table_scheme(levels=(), n0: int = 1) -> TruncationScheme:
     return TruncationScheme(family="table", levels=tuple(float(v) for v in levels), n0=n0)
+
+
+# Each family's constructor and its parameters, the keys a config's scheme
+# section may set besides 'family'; the defaults are the constructor's.
+SCHEME_FAMILIES = {
+    "sqrt_n": (sqrt_n, ("n0",)),
+    "sqrt_n_invLL5": (sqrt_n_invLL5, ("n0",)),
+    "sqrt_n_polylog": (sqrt_n_polylog, ("q", "n0")),
+    "table": (table_scheme, ("levels", "n0")),
+}
 
 
 def scheme_id(scheme: TruncationScheme) -> str:
@@ -305,8 +313,10 @@ class GammaSequence:
             lam[ns < self.n0] = _eigenvalues(law, scheme, np.asarray([self.n0]))
         bad = lam < LAMBDA_FLOOR * (1.0 - 1e-12)
         if bad.any():
+            low = lam[bad][0]  # in the fewest digits, at least 3, that read below the floor
+            shown = next(t for p in range(3, 18) if float(t := f"{low:.{p}g}") < LAMBDA_FLOOR)
             raise NearSingularError(
-                f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {lam[bad][0]:.3g} "
+                f"Gamma_{int(ns[np.argmax(bad)])} has eigenvalue {shown} "
                 f"below the floor {LAMBDA_FLOOR}; n0 = {self.n0} is misconfigured"
             )
         # each checkpoint's value is held up to the next checkpoint; a span

@@ -108,8 +108,7 @@ import numpy as np
 
 from .iterlog import normalizers
 # radial_profile and c_levels stay imported: perfbench/tracing.py patches them here.
-from .models import IncrementLaw, law_id, radial_profile, sample  # noqa: F401
-from .psdmat import MAX_DIM
+from .models import IncrementLaw, _row_norm, law_id, radial_profile, sample  # noqa: F401
 from .truncation import GammaSequence, c_levels  # noqa: F401
 
 BLOCK = 32768
@@ -250,23 +249,6 @@ def _block_sum(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if block.shape[1] > 1:
         return rows[-1].copy()
     return block.sum(axis=0)
-
-
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, d) array; bit-identical to
-    ``np.linalg.norm(x, axis=1)`` in the order it adds the squares.
-
-    d = 1 returns |x|, which equals sqrt(x*x) unless x*x under- or overflows.
-    """
-    d = x.shape[1]
-    if d == 1:
-        return np.abs(x[:, 0])
-    if d == MAX_DIM:
-        return np.linalg.norm(x, axis=1)
-    acc = x[:, 0] * x[:, 0]
-    for j in range(1, d):
-        acc += x[:, j] * x[:, j]
-    return np.sqrt(acc, out=acc)
 
 
 @lru_cache(maxsize=4)

@@ -206,9 +206,10 @@ _TABLE = ["experiment.scheme.family=table"]
           "reference.n=300"], "at n = 300 needs 300"),
         (["experiment.n=3", "reference.master_seed=7", "reference.mode=feller",
           "reference.scheme.family=table", "reference.scheme.levels=1,2"], "needs 3"),
+        (["experiment.mode=self_normalized", *_TABLE], "table scheme needs at least one level"),
     ],
     ids=["nan_level", "inf_level", "short_selfnorm", "short_feller", "short_n0",
-         "short_reference_n", "short_reference_scheme"],
+         "short_reference_n", "short_reference_scheme", "no_levels"],
 )
 def test_bad_table_scheme_exits_2(tmp_path, capsys, overrides, message):
     cfg = os.path.join(CONFIGS, "gaussian_d1.ini")
@@ -624,6 +625,17 @@ def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
          "[experiment.scheme] sets q but names no scheme family"),
         ("validate", None, ["experiment.scheme.levels=1,2"],
          "[experiment.scheme] sets levels but names no scheme family"),
+        # a key some family takes, set for one that does not
+        ("simulate", "gauss", ["experiment.law.c=0.3"],
+         "key 'c' in [experiment.law] does not apply to law family 'gaussian_iso'"),
+        ("tightness-probe", "probe", ["experiment.law.c=0.9"],
+         "key 'c' in [experiment.law] does not apply to law family 'atom_ladder_fat'"),
+        ("simulate", "ref", ["experiment.scheme.q=5"],
+         "key 'q' in [experiment.scheme] does not apply to scheme family 'sqrt_n'"),
+        ("replay", "ref", ["reference.scheme.family=sqrt_n", "reference.scheme.levels=1,2"],
+         "key 'levels' in [reference.scheme] does not apply to scheme family 'sqrt_n'"),
+        ("shift-experiment", "shift", ["experiment.law.direction_mode=axes"],
+         "'direction_mode' in [experiment.law]"),
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, capsys, command, ini, items, message):

@@ -219,16 +219,19 @@ def test_law_id_and_mapping_roundtrip():
         M.gaussian_iso(1), M.gaussian_iso(3), M.rademacher_product(1),
         M.rademacher_product(4), M.uniform_cube(1), M.uniform_cube(2),
         M.uniform_cube(5), M.atom_ladder(0.5, 2, d=1),
-        M.atom_ladder(0.5, 1, d=2, direction_mode="axes"), M.atom_ladder_fat(2, d=3),
+        M.atom_ladder(0.5, 1, d=2), M.atom_ladder_fat(2, d=3),
     ]
     for law in laws:
         assert M.law_id(law)
         mapping = {"family": law.family, "d": str(law.d)}
-        if law.family.startswith("atom_ladder"):
-            mapping.update(
-                c=str(law.c), k0=str(law.k0), direction_mode=law.direction_mode
-            )
+        if law.family == "atom_ladder":
+            mapping.update(c=str(law.c), k0=str(law.k0))
+        if law.family == "atom_ladder_fat":
+            mapping.update(k0=str(law.k0))
         assert law_from_mapping(mapping) == law
+    # a key a section leaves out takes the constructor's default
+    assert law_from_mapping({"family": "atom_ladder"}) == M.atom_ladder()
+    assert law_from_mapping({"family": "atom_ladder_fat"}) == M.atom_ladder_fat()
     with pytest.raises(ValueError):
         law_from_mapping({"d": "2"})
     with pytest.raises(ValueError):
@@ -250,6 +253,7 @@ def test_scheme_mapping_roundtrip():
     for mapping, want in cases:
         assert scheme_from_mapping(mapping) == want
     assert scheme_from_mapping({}) == T.sqrt_n()
+    assert scheme_from_mapping({"family": "sqrt_n_polylog"}) == T.sqrt_n_polylog(0.0)
     with pytest.raises(ValueError):
         scheme_from_mapping({"family": "exp_n"})
 

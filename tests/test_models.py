@@ -31,7 +31,7 @@ ALL_LAWS = [
     M.uniform_cube(2),
     M.uniform_cube(5),
     M.atom_ladder(0.5, 2, d=1),
-    M.atom_ladder(0.5, 1, d=2, direction_mode="axes"),
+    M.atom_ladder(0.5, 1, d=2),
     M.atom_ladder_fat(2, d=3),
 ]
 
@@ -348,8 +348,6 @@ LADDER_DIGESTS = [
      "5cff026f093335c221712158be3617ee41f3ac055a61136d64b2f7fafd133791"),
     (M.atom_ladder(d=2), 0,
      "18cbe5cdf711a67c96f8e936326bcf173311e2fbaaea8ae2423a226cf9c9e680"),
-    (M.atom_ladder(d=3, direction_mode="axes"), 0,
-     "1300cef05bb71fb2edc550d5fe060a3835a6018567032585274988d7070e36b7"),
     (M.atom_ladder(k0=1, d=2), 131,
      "61f6044c37d22fb3b80c2fdebda6b2d861f6c76d6cb9b187a1f803d92b139d24"),
     (M.atom_ladder_fat(k0=1, d=2), 154,
@@ -403,7 +401,7 @@ def test_mc_unit_covariance(law):
         (M.gaussian_iso(2), (0.7, 1.4, 2.5)),
         (M.uniform_cube(4), (1.0, 2.0, 3.0)),
         (M.atom_ladder(0.5, 2, d=1), (0.4, 1.0, 1.4)),
-        (M.atom_ladder_fat(2, d=2, direction_mode="axes"), (0.5, 0.9)),
+        (M.atom_ladder_fat(2, d=2), (0.5, 0.9)),
     ],
     ids=lambda v: M.law_id(v) if isinstance(v, M.IncrementLaw) else "",
 )
@@ -452,8 +450,6 @@ def test_law_validation_errors():
         M.atom_ladder_fat(k0=1, d=1)  # core variance would vanish
     with pytest.raises(ValueError):
         M.atom_ladder(c=0.5, k0=0)
-    with pytest.raises(ValueError):
-        M.atom_ladder(c=0.5, k0=2, direction_mode="spiral")
     with pytest.raises(ValueError):
         M.radial_profile(M.gaussian_iso(1), -1.0)
     with pytest.raises(ValueError):

@@ -172,7 +172,7 @@ def test_tail_condition_verdicts():
     assert T.validate_tail_condition(lad, "small_o", TAIL_GRID).verdict == "FAIL"
     big = T.validate_tail_condition(lad, "big_O", TAIL_GRID)
     assert big.verdict == "PASS"
-    fat = M.atom_ladder_fat(2, d=1, direction_mode="axes")
+    fat = M.atom_ladder_fat(2, d=1)
     assert T.validate_tail_condition(fat, "big_O", TAIL_GRID).verdict == "FAIL"
 
 
@@ -324,7 +324,7 @@ _CLAUSE_LAWS = [
     M.gaussian_iso(1), M.gaussian_iso(3), M.gaussian_iso(8),
     M.rademacher_product(1), M.rademacher_product(4), M.rademacher_product(8),
     M.uniform_cube(1), M.uniform_cube(2), M.uniform_cube(8),
-    M.atom_ladder(0.5, 2, d=1), M.atom_ladder(0.5, 1, d=2, direction_mode="axes"),
+    M.atom_ladder(0.5, 2, d=1), M.atom_ladder(0.5, 1, d=2),
     M.atom_ladder_fat(2, d=1), M.atom_ladder_fat(2, d=3),
 ]
 _CLAUSE_SCHEMES = [
@@ -638,6 +638,16 @@ def test_gamma_bounds_and_errors():
     raw = T.TruncationScheme(family="sqrt_n_invLL5", n0=1)
     with pytest.raises(NearSingularError, match="Gamma_58 has eigenvalue 0 "):
         T.GammaSequence(M.rademacher_product(2), raw, 1000)
+
+
+def test_eigenvalue_below_floor_reads_below_it():
+    """lambda(Gamma_199) = 0.0999543 rounds to the floor itself at three
+    digits, so the error shows the fewest digits that read below it."""
+    with pytest.raises(NearSingularError) as err:
+        T.GammaSequence(M.uniform_cube(4), T.sqrt_n_invLL5(1), 10**5)
+    assert str(err.value) == (
+        "Gamma_199 has eigenvalue 0.09995 below the floor 0.1; n0 = 2 is misconfigured"
+    )
 
 
 # ---------------------------------------------------------------------------
