@@ -148,12 +148,16 @@ KNOWN_KEYS = {
 
 def read_section(cp: configparser.ConfigParser, name: str) -> dict:
     """The keys of section [name], or an empty dict when it is absent; a key
-    outside the section's ``KNOWN_KEYS`` is a config error."""
+    outside the section's ``KNOWN_KEYS`` is a config error, which lists the
+    keys of the family a law or scheme section names, if it is known."""
     sec = dict(cp.items(name)) if cp.has_section(name) else {}
     kind = name.rsplit(".", 1)[-1]
     known = KNOWN_KEYS["experiment" if kind == "reference" else kind]
     unknown = sorted(set(sec) - set(known))
     if unknown:
+        families = {"law": FAMILIES, "scheme": SCHEME_FAMILIES}.get(kind, {})
+        if sec.get("family") in families:
+            known = ("family", *families[sec["family"]][1])
         raise ConfigError(
             f"unknown key {unknown[0]!r} in [{name}]; it takes {', '.join(known)}"
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -422,14 +423,20 @@ class IntegralProbe:
     """Numerical evidence about the boundary series, independent of the
     analytic threshold rule.
 
+    Computed when the probe is made: ns, log_increments, slope_linear,
+    slope_loglog, tail_increment and verdict.  Computed on the first read of
+    partial_sums or em_validation_rel, once for both: those two, from the
+    exact and Euler-Maclaurin legs.  The deferred legs cannot raise: n_max
+    keeps the exact leg below e^(e^e), where the outer logs are exactly 1.0,
+    and phi^2(1) was checked when the probe was made (phi^2 is nondecreasing
+    in n, so a negative phi^2 anywhere shows at n = 1).
+
     ns / partial_sums are honest partial sums at geometric checkpoints
     (exact summation up to 10^6, Euler-Maclaurin blocks beyond, the two
     validated against each other on the overlap (10^5, min(n_max, 10^6)]).
     The exact leg is streamed in blocks of 8192 terms through one in-place
     kernel, holds no array of length n, and is bit-identical to one
-    np.cumsum.  It checks its range (below e^(e^e), where the outer logs are
-    exactly 1.0) and the sign of phi^2(1) once per call, not per term: phi^2
-    is nondecreasing in n, so a negative phi^2 anywhere shows at n = 1.
+    np.cumsum.
     The verdict comes from growth slopes of the continued integral in
     w = log(LL n): block integrals grow like exp(w (d + 2 - a) / 2) with a
     power-of-w profile w^{1 - b/2} on the a = d + 2 critical line, so the
@@ -437,42 +444,62 @@ class IntegralProbe:
     the critical line.
     """
 
+    phi: PhiFamily
+    n_max: int
     ns: np.ndarray
-    partial_sums: np.ndarray
-    em_validation_rel: float
     log_increments: np.ndarray
     slope_linear: float
     slope_loglog: float
     tail_increment: float
     verdict: str
 
+    @cached_property
+    def _sums(self) -> tuple:
+        """(partial_sums, em_validation_rel), from the exact leg and the
+        Euler-Maclaurin legs."""
+        phi = self.phi
+        n_exact = min(self.n_max, _EXACT_SUM_LIMIT)
+        checkpoints = self.ns.tolist()
+        exact = _exact_partial_sums(
+            phi, n_exact, [c for c in checkpoints if c <= n_exact] + [_EM_CHECK_FROM, n_exact]
+        )
+        sums = [
+            exact[c] if c <= n_exact else exact[n_exact] + _em_segment_sum(phi, n_exact, c)
+            for c in checkpoints
+        ]
+
+        # validate the Euler-Maclaurin leg against exact summation on an overlap
+        exact_seg = exact[n_exact] - exact[_EM_CHECK_FROM]
+        em_seg = _em_segment_sum(phi, _EM_CHECK_FROM, n_exact)
+        em_rel = abs(em_seg - exact_seg) / max(abs(exact_seg), 1e-300)
+        return np.asarray(sums), float(em_rel)
+
+    @property
+    def partial_sums(self) -> np.ndarray:
+        return self._sums[0]
+
+    @property
+    def em_validation_rel(self) -> float:
+        return self._sums[1]
+
 
 def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralProbe:
     """Probe the boundary series of `phi` up to n_max (1e5..1e9).
 
-    The terms up to min(n_max, 10^6) are summed exactly, streamed in blocks
-    of 8192 so that no array of length n is held; every exact partial sum is
-    bit-identical to the same entry of one np.cumsum over 1..n.
+    Checks n_max and the sign of phi^2(1), with the exact leg's message, and
+    computes the verdict side now; partial_sums and em_validation_rel are
+    computed on their first read (see IntegralProbe).  Then the terms up to
+    min(n_max, 10^6) are summed exactly, streamed in blocks of 8192 so that
+    no array of length n is held; every exact partial sum is bit-identical
+    to the same entry of one np.cumsum over 1..n.
     """
     if not (_EM_CHECK_FROM <= n_max <= 10**9):
         raise ValueError("n_max must be between 1e5 and 1e9")
+    phi.squared(1.0)
 
-    # exact partial sums at geometric checkpoints
-    n_exact = min(n_max, _EXACT_SUM_LIMIT)
+    # geometric checkpoints for the partial sums
     checkpoints = [int(round(10 ** (j / 2.0))) for j in range(2, 19)]
     checkpoints = sorted({c for c in checkpoints if c <= n_max})
-    exact = _exact_partial_sums(
-        phi, n_exact, [c for c in checkpoints if c <= n_exact] + [_EM_CHECK_FROM, n_exact]
-    )
-    sums = [
-        exact[c] if c <= n_exact else exact[n_exact] + _em_segment_sum(phi, n_exact, c)
-        for c in checkpoints
-    ]
-
-    # validate the Euler-Maclaurin leg against exact summation on an overlap
-    exact_seg = exact[n_exact] - exact[_EM_CHECK_FROM]
-    em_seg = _em_segment_sum(phi, _EM_CHECK_FROM, n_exact)
-    em_rel = abs(em_seg - exact_seg) / max(abs(exact_seg), 1e-300)
 
     # continued-integral growth diagnostics in w = log(LL n)
     edges = 10.0 * (10.0 ** (np.arange(17) / 4.0))
@@ -494,9 +521,9 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
         tail_increment = math.inf
 
     return IntegralProbe(
+        phi=phi,
+        n_max=n_max,
         ns=np.asarray(checkpoints),
-        partial_sums=np.asarray(sums),
-        em_validation_rel=float(em_rel),
         log_increments=log_inc,
         slope_linear=slope_linear,
         slope_loglog=slope_loglog,

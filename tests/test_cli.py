@@ -636,6 +636,20 @@ def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
          "key 'levels' in [reference.scheme] does not apply to scheme family 'sqrt_n'"),
         ("shift-experiment", "shift", ["experiment.law.direction_mode=axes"],
          "'direction_mode' in [experiment.law]"),
+        # a section naming a known family lists that family's keys; one
+        # naming none, or an unknown one, lists those of every family
+        ("simulate", "gauss", ["experiment.law.direction_mode=axes"],
+         "'direction_mode' in [experiment.law]; it takes family, d\n"),
+        ("tightness-probe", "probe", ["experiment.law.k=2"],
+         "'k' in [experiment.law]; it takes family, d, k0\n"),
+        ("simulate", "ref", ["experiment.scheme.n00=3"],
+         "'n00' in [experiment.scheme]; it takes family, n0\n"),
+        ("validate", None, ["experiment.scheme.family=table", "experiment.scheme.q0=1"],
+         "'q0' in [experiment.scheme]; it takes family, levels, n0\n"),
+        ("validate", None, ["experiment.scheme.n00=3"],
+         "'n00' in [experiment.scheme]; it takes family, n0, q, levels\n"),
+        ("simulate", "gauss", ["experiment.law.family=levy", "experiment.law.dd=3"],
+         "'dd' in [experiment.law]; it takes family, d, c, k0\n"),
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, capsys, command, ini, items, message):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from lilmax import limits
 from lilmax.iterlog import iterlog
 from lilmax.limits import (
     _SUM_BLOCK,
@@ -660,9 +661,55 @@ def test_probe_holds_no_length_n_array():
     integral_test_partial_sums(phi)
     tracemalloc.start()
     try:
-        integral_test_partial_sums(phi)
+        probe = integral_test_partial_sums(phi)
+        probe.partial_sums, probe.em_validation_rel  # run the deferred legs here
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # one float64 array over n = 1..1e6 alone would be 8 MB
     assert peak < 2 * 2**20, peak
+
+
+def test_probe_verdict_side_skips_the_summation_legs(monkeypatch):
+    """With both summation legs made to raise, every field criterion 08 and
+    the verdict read comes out, the same bits as PROBE_ORACLE where it has
+    the cell."""
+
+    def unread(*args):
+        raise AssertionError("a summation leg ran for the verdict side")
+
+    monkeypatch.setattr(limits, "_exact_partial_sums", unread)
+    monkeypatch.setattr(limits, "_em_segment_sum", unread)
+    for d, a, b in CRITERION_08_GRID:
+        phi = PhiFamily(a=a, b=b, d=d)
+        probe = integral_test_partial_sums(phi)
+        assert probe.verdict == integral_test_classify(phi), (d, a, b)
+        assert probe.ns.tolist() == PROBE_NS
+        assert probe.log_increments.shape == (16,)
+        assert math.isfinite(probe.slope_linear) and math.isfinite(probe.slope_loglog)
+        assert probe.tail_increment >= 0.0
+        want = PROBE_ORACLE.get((d, a, b))
+        if want is not None:
+            assert probe.log_increments.tolist() == want["log_increments"]
+            assert probe.slope_linear == want["slope_linear"]
+            assert probe.slope_loglog == want["slope_loglog"]
+            assert probe.tail_increment == want["tail_increment"]
+    with pytest.raises(AssertionError, match="summation leg"):
+        probe.partial_sums
+
+
+def test_probe_sums_once_on_first_read(monkeypatch):
+    calls = []
+    exact = limits._exact_partial_sums
+
+    def counted(*args):
+        calls.append(args[1])
+        return exact(*args)
+
+    monkeypatch.setattr(limits, "_exact_partial_sums", counted)
+    probe = integral_test_partial_sums(PhiFamily(a=3.0, b=1.0, d=2), n_max=123_457)
+    assert calls == []
+    sums = probe.partial_sums
+    rel = probe.em_validation_rel
+    assert probe.partial_sums is sums and probe.em_validation_rel == rel
+    assert calls == [123_457]
