@@ -3,7 +3,7 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 19 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 21 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
@@ -12,17 +12,19 @@ in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
 and ``gaussian_d1.ini`` in self_normalized mode with ``sqrt_n_invLL5``,
 with ``sqrt_n_polylog`` q = -2.5 (``GammaSequence`` index floor n0 = 239,
 2224 spans) and, on ``atom_ladder`` c = 0.5, with ``sqrt_n`` at d = 1 and
-d = 2, which write 27 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index
-floor n0 = 10268 past the per-index region of ``GammaSequence`` (its
-reference 5458), so the search between two checkpoints is compared too.
+d = 2, and ``gaussian_d1.ini`` at n = 3000 in self_normalized and in feller
+mode with a ``table`` scheme of 4000 levels c_k = 0.9 sqrt(k) + 0.05, which
+write 29 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index floor n0 =
+10268 past the per-index region of ``GammaSequence`` (its reference 5458), so
+the search between two checkpoints is compared too.
 ``lilmax shift-experiment`` on ``shift_ladder.ini`` and ``lilmax
 tightness-probe`` on ``tightness_fat.ini`` run the same way.  The commands
 that take no ``--seed`` run without it: ``lilmax integral-test`` with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
 (3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
 is not a multiple of the probe's block size; ``lilmax validate`` with no
-config, on ``shift_ladder.ini`` and with ``sqrt_n_polylog`` q = 2; and
-``lilmax tail-bounds``.  Each side uses its own ``configs/``.
+config, on ``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2 and with the
+same table; and ``lilmax tail-bounds``.  Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
 output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
@@ -57,6 +59,9 @@ COMMON = ["--set", "experiment.replications=12"]
 SEED = ["--seed", "1608"]  # overrides a config's master seed
 SEEDED = ("simulate", "shift-experiment", "tightness-probe", "replay")  # take --seed
 REPLAY_INDEX = 11
+# a table scheme given level by level, each level in full precision
+TABLE = ["experiment.scheme.family=table", "experiment.scheme.levels=" + ",".join(
+    repr(0.9 * k**0.5 + 0.05) for k in range(1, 4001))]
 
 # (run name, subcommand, bundled config, extra --set overrides)
 SIMULATE = [
@@ -89,6 +94,10 @@ SIMULATE = [
     ("selfnorm_polylog_d1", "simulate", "gaussian_d1.ini",
      ["experiment.mode=self_normalized", "experiment.scheme.family=sqrt_n_polylog",
       "experiment.scheme.q=-2.5"]),
+] + [
+    (f"{mode}_table_d1", "simulate", "gaussian_d1.ini",
+     [f"experiment.mode={mode}", "experiment.n=3000", *TABLE])
+    for mode in ("self_normalized", "feller")
 ]
 COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
@@ -97,6 +106,7 @@ COMMANDS = [
     ("validate_shift_ladder", "validate", "shift_ladder.ini", []),
     ("validate_polylog", "validate", None,
      ["experiment.scheme.family=sqrt_n_polylog", "experiment.scheme.q=2"]),
+    ("validate_table", "validate", None, TABLE),
     ("tail_bounds", "tail-bounds", None, []),
 ] + [
     (f"integral_d{d}_a{a}_b{b}{tag}", "integral-test", None,

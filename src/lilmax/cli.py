@@ -410,11 +410,11 @@ def cmd_validate(args) -> int:
         grid = n_grid
         if sch.family == "table":
             # only the grid points whose level c_{n v n0} the table holds
-            grid = n_grid[np.maximum(n_grid, sch.n0) <= len(sch.levels)]
+            grid = n_grid[np.maximum(n_grid, sch.n0) <= sch.n_levels]
             if len(grid) < 2:
                 need = max(sch.n0, math.ceil(n_grid[1]))
                 raise ConfigError(
-                    f"table scheme has {len(sch.levels)} levels; the growth-window "
+                    f"table scheme has {sch.n_levels} levels; the growth-window "
                     f"grid needs at least {need} to cover two of its points"
                 )
         rep = validate_growth_window(sch, grid)

@@ -74,9 +74,9 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.mode != "classical" and self.scheme.family == "table":
             need = max(self.n, self.scheme.n0)
-            if len(self.scheme.levels) < need:
+            if self.scheme.n_levels < need:
                 raise ConfigError(
-                    f"table scheme has {len(self.scheme.levels)} levels; mode "
+                    f"table scheme has {self.scheme.n_levels} levels; mode "
                     f"{self.mode!r} at n = {self.n} needs {need}"
                 )
         if self.replications < 1:

@@ -409,13 +409,17 @@ def _log_h(phi: PhiFamily, w: np.ndarray) -> np.ndarray:
     return (phi.d / 2.0) * log_phi2 + (1.0 - phi.a / 2.0) * w - (phi.b / 2.0) * lmw
 
 
-def _log_block_integral(phi: PhiFamily, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
+def _log_block_integrals(phi: PhiFamily, edges: np.ndarray) -> np.ndarray:
+    """log of the integral of H over each block [edges[i], edges[i+1]], by
+    Gauss-Legendre on every block in one ``_log_h`` pass, with a
+    log-sum-exp per block."""
+    lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
-    nodes = mid + half * _GL_NODES
-    logs = _log_h(phi, nodes) + np.log(half * _GL_WEIGHTS)
-    m = float(np.max(logs))
-    return m + math.log(float(np.sum(np.exp(logs - m))))
+    logs = _log_h(phi, 0.5 * (lo + hi) + half * _GL_NODES) + np.log(half * _GL_WEIGHTS)
+    m = logs.max(axis=1)
+    sums = np.exp(logs - m[:, None]).sum(axis=1)
+    # math.log, not np.log: the two can differ in the last ulp
+    return np.array([mi + math.log(si) for mi, si in zip(m.tolist(), sums.tolist())])
 
 
 @dataclass(frozen=True)
@@ -503,9 +507,7 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
 
     # continued-integral growth diagnostics in w = log(LL n)
     edges = 10.0 * (10.0 ** (np.arange(17) / 4.0))
-    log_inc = np.array(
-        [_log_block_integral(phi, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    )
+    log_inc = _log_block_integrals(phi, edges)
     w_mid = 0.5 * (edges[:-1] + edges[1:])
     slope_linear = float(np.polyfit(w_mid, log_inc, 1)[0])
     slope_loglog = float(np.polyfit(np.log(w_mid), log_inc, 1)[0])

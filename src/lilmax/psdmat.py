@@ -42,20 +42,10 @@ class SymPSD:
 
     @classmethod
     def from_array(cls, arr) -> "SymPSD":
-        m = np.array(arr, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise MatrixError(f"expected a square matrix, got shape {m.shape}")
-        if not 1 <= m.shape[0] <= MAX_DIM:
-            raise MatrixError(f"dimension must be in 1..{MAX_DIM}, got {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise MatrixError("matrix has non-finite entries")
-        if float(np.max(np.abs(m - m.T))) > TOL_SYM:
-            raise MatrixError("matrix is not symmetric within tolerance")
-        m = 0.5 * (m + m.T)
+        m = _symmetric_entries(arr)
         lam_min = np.linalg.eigvalsh(m)[0]
         if lam_min < -TOL_PSD:
             raise NotPSDError(f"matrix has eigenvalue {lam_min:.3e} < -{TOL_PSD}")
-        m.setflags(write=False)
         return cls(entries=m)
 
     @property
@@ -63,15 +53,36 @@ class SymPSD:
         return self.entries.shape[0]
 
 
+def _symmetric_entries(arr) -> np.ndarray:
+    """``arr`` as a read-only, exactly symmetric float matrix of dimension
+    1..MAX_DIM with finite entries, symmetric within TOL_SYM."""
+    m = np.array(arr, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MatrixError(f"expected a square matrix, got shape {m.shape}")
+    if not 1 <= m.shape[0] <= MAX_DIM:
+        raise MatrixError(f"dimension must be in 1..{MAX_DIM}, got {m.shape[0]}")
+    if not np.all(np.isfinite(m)):
+        raise MatrixError("matrix has non-finite entries")
+    if float(np.max(np.abs(m - m.T))) > TOL_SYM:
+        raise MatrixError("matrix is not symmetric within tolerance")
+    m = 0.5 * (m + m.T)
+    m.setflags(write=False)
+    return m
+
+
 def psd_sqrt(m: SymPSD) -> SymPSD:
-    """Unique PSD square root via the eigendecomposition.
+    """Unique PSD square root via the eigendecomposition; defined for every
+    SymPSD.
 
     Eigenvalues in [-TOL_PSD, 0) are clamped to zero; anything lower has
-    already been rejected by the SymPSD constructor.
+    already been rejected by the SymPSD constructor.  The root V sqrt(L) V^T
+    is PSD by construction, so its eigenvalues are not judged again against
+    the absolute TOL_PSD: their roundoff scales with the root's norm and
+    exceeds TOL_PSD once that norm passes about 10^6.
     """
     lam, v = np.linalg.eigh(m.entries)
     root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T
-    return SymPSD.from_array(0.5 * (root + root.T))
+    return SymPSD(entries=_symmetric_entries(0.5 * (root + root.T)))
 
 
 def op_norm(m) -> float:

@@ -74,11 +74,15 @@ _PREFIX_BLOCK = 8192     # indices per block of the streamed B_k build
 
 @dataclass(frozen=True)
 class TruncationScheme:
-    """Level sequence c_n; ``n0`` floors the index (levels use n v n0)."""
+    """Level sequence c_n; ``n0`` floors the index (levels use n v n0).
+
+    A table's levels are held once, as the bytes of a float64 array, so
+    schemes compare and hash by value; ``_level_table`` reads them in place.
+    """
 
     family: str
     q: float = 0.0
-    levels: tuple = ()
+    levels: bytes = b""
     n0: int = 1
 
     def __post_init__(self):
@@ -94,7 +98,7 @@ class TruncationScheme:
                 raise ValueError("table levels must be finite")
             if np.any(arr <= 0.0):
                 raise ValueError("table levels must be positive")
-            if np.any(np.diff(arr) < 0.0):
+            if np.any(arr[1:] < arr[:-1]):
                 raise ValueError("table levels must be nondecreasing")
         elif self.family == "sqrt_n_polylog" and not abs(self.q) <= 20.0:
             # written so that a NaN exponent fails too
@@ -102,11 +106,13 @@ class TruncationScheme:
 
     @cached_property
     def _level_table(self) -> np.ndarray:
-        """``levels`` as a read-only float array, converted once: a table
-        build calls ``c_levels`` block by block."""
-        arr = np.asarray(self.levels, dtype=float)
-        arr.setflags(write=False)
-        return arr
+        """The table's levels, a read-only float64 view of ``levels``."""
+        return np.frombuffer(self.levels, dtype=np.float64)
+
+    @property
+    def n_levels(self) -> int:
+        """The number of levels a table holds; 0 for the other families."""
+        return self._level_table.size
 
 
 def _monotone_floor(p: float) -> int:
@@ -149,7 +155,10 @@ def sqrt_n_polylog(q: float = 0.0, n0: Optional[int] = None) -> TruncationScheme
 
 
 def table_scheme(levels=(), n0: int = 1) -> TruncationScheme:
-    return TruncationScheme(family="table", levels=tuple(float(v) for v in levels), n0=n0)
+    arr = np.asarray(levels, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("table levels must be a one-dimensional sequence")
+    return TruncationScheme(family="table", levels=arr.tobytes(), n0=n0)
 
 
 # Each family's constructor and its parameters, the keys a config's scheme
@@ -166,7 +175,7 @@ def scheme_id(scheme: TruncationScheme) -> str:
     if scheme.family == "sqrt_n_polylog":
         return f"sqrt_n_polylog(q={scheme.q:g})-n0{scheme.n0}"
     if scheme.family == "table":
-        return f"table[{len(scheme.levels)}]-n0{scheme.n0}"
+        return f"table[{scheme.n_levels}]-n0{scheme.n0}"
     return f"{scheme.family}-n0{scheme.n0}"
 
 
@@ -177,10 +186,8 @@ def c_levels(scheme: TruncationScheme, ns) -> np.ndarray:
         raise ValueError("indices must be >= 1")
     m = np.maximum(ns.astype(float), float(scheme.n0))
     if scheme.family == "table":
-        if np.any(m > len(scheme.levels)):
-            raise ValueError(
-                f"index beyond table length {len(scheme.levels)}"
-            )
+        if np.any(m > scheme.n_levels):
+            raise ValueError(f"index beyond table length {scheme.n_levels}")
         return scheme._level_table[m.astype(int) - 1]
     root = np.sqrt(m)
     if scheme.family == "sqrt_n":

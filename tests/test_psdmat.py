@@ -53,6 +53,42 @@ def test_psd_sqrt_clamps_tiny_negative_eigenvalue():
     np.testing.assert_array_equal(root.entries, np.diag([2.0, 0.0]))
 
 
+def _rank_deficient(rng, d: int, scale: float) -> np.ndarray:
+    """q diag(lam) q^T, symmetrized, with d - 1 eigenvalues in
+    [0.1, 1) * scale and one exact zero before rounding."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.array([scale * rng.uniform(0.1, 1) for _ in range(d - 1)] + [0.0])
+    x = (q * lam) @ q.T
+    return 0.5 * (x + x.T)
+
+
+def test_psd_sqrt_accepts_every_constructed_matrix_at_large_norm():
+    """The root's eigenvalues carry roundoff on the scale of its own norm, so
+    judging them against the absolute TOL_PSD refused a rank-deficient
+    matrix of norm 10^13 that the constructor had accepted."""
+    x = _rank_deficient(np.random.default_rng(4), 8, 1e13)
+    root = psd_sqrt(SymPSD.from_array(x))
+    assert np.array_equal(root.entries, root.entries.T)
+    assert not root.entries.flags.writeable
+    assert op_norm(root.entries @ root.entries - x) <= 1e-12 * op_norm(x)
+    # every dimension across norms 10^6..10^13; the constructor refuses some
+    # of these inputs, and the root of each one it accepts exists
+    rng = np.random.default_rng(33)
+    accepted = 0
+    for d in range(2, 9):
+        for scale in (1e6, 1e9, 1e13):
+            for _ in range(4):
+                a = _rank_deficient(rng, d, scale)
+                try:
+                    m = SymPSD.from_array(a)
+                except NotPSDError:
+                    continue
+                accepted += 1
+                root = psd_sqrt(m)
+                assert op_norm(root.entries @ root.entries - a) <= 1e-12 * op_norm(a)
+    assert accepted >= 40, accepted
+
+
 def test_op_norm_of_indefinite_matrix():
     assert op_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0, rel=1e-15)
     # a rotated copy has the same spectrum

@@ -64,12 +64,14 @@ def test_table_levels_and_bounds():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         T.TruncationScheme(family="cbrt_n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs at least one level"):
         T.table_scheme([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nondecreasing"):
         T.table_scheme([2.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         T.table_scheme([-1.0, 2.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        T.table_scheme([[1.0, 2.0]])
     # NaN compares False against everything, so the order and sign checks
     # alone would let it through
     for levels in ([math.nan, 1.0, 2.0], [1.0, math.nan], [math.inf], [1.0, 2.0, math.inf]):
@@ -85,6 +87,35 @@ def test_scheme_validation():
             T.TruncationScheme(family="sqrt_n_polylog", q=q)
     with pytest.raises(ValueError):
         T.TruncationScheme(family="sqrt_n", n0=0)
+
+
+def test_table_scheme_holds_its_levels_once():
+    """A table of n levels holds one float64 buffer of 8n bytes; its checks
+    make only boolean masks (a tuple of floats and a second float copy held
+    5.0 x 8n and peaked at 6.1 x 8n)."""
+    n = 10**5
+    levels = np.arange(1.0, n + 1.0)
+    grid = np.geomspace(16.0, n, 40)
+    tracemalloc.start()
+    try:
+        scheme = T.table_scheme(levels)
+        T.c_levels(scheme, grid)
+        T.validate_growth_window(scheme, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * 8 * n, held
+    assert peak <= 2.0 * 8 * n, peak
+    table = scheme._level_table
+    assert table.dtype == np.float64 and len(table) == n == scheme.n_levels
+    assert not table.flags.writeable
+    np.testing.assert_array_equal(table, levels)
+    assert T.scheme_id(scheme) == "table[100000]-n01"
+    # equal levels make equal schemes, whatever sequence type they came in
+    as_list, as_array = T.table_scheme([0.5, 1.0, 2.0], 2), T.table_scheme(np.array([0.5, 1, 2]), 2)
+    assert as_list == as_array and hash(as_list) == hash(as_array)
+    assert as_list != T.table_scheme([0.5, 1.0, 2.5], 2)
+    assert as_list != T.table_scheme([0.5, 1.0, 2.0], 1)
 
 
 def test_monotone_floor_seam():
