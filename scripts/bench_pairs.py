@@ -12,10 +12,12 @@ only.  Both sides run their own copy of ``perfbench/``, which must be the
 same files on both, at its own default run length.
 
 The output file holds every run's end-to-end line (the human-readable line
-and the JSON result that ``perfbench/run.py`` prints last) and, for each
-workload, seed and end-to-end metric, each side's median and quartiles and
-the number of pairs the working tree won.  Standard library only; nothing
-is read from the network.
+and the JSON result that ``perfbench/run.py`` prints last), each run's
+per-process figures (``setup_s``, ``wall_s``, ``reps_per_s`` and
+``peak_rss_mb`` of every workload process, from the run's results record)
+and, for each workload, seed and end-to-end metric, each side's median and
+quartiles and the number of pairs the working tree won.  Standard library
+only; nothing is read from the network.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ def same_bench_files(a: str, b: str) -> bool:
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run; its end-to-end line and JSON result."""
+    """One ``perfbench/run.py`` run; its end-to-end line, JSON result and
+    per-process figures.
+
+    The per-process figures come from the run's record in
+    ``<tree>/.perfbench/results/``, read right away: the next run on the
+    same tree overwrites it, and the parent tree is deleted at the end."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -80,7 +87,13 @@ def run_once(tree: str, workload: str, seed: int) -> dict:
     except json.JSONDecodeError:
         return {**failed, "stdout": proc.stdout[-2000:]}
     line = next((s for s in lines if s.startswith(f"{workload} seed=")), None)
-    return {"exit_code": 0, "line": line, "result": result}
+    record = os.path.join(tree, ".perfbench", "results", f"{workload}-seed{seed}-trace0.json")
+    try:
+        with open(record, encoding="utf-8") as fh:
+            processes = json.load(fh)["processes"]
+    except (OSError, ValueError, KeyError) as exc:
+        processes = f"unreadable: {exc}"
+    return {"exit_code": 0, "line": line, "result": result, "processes": processes}
 
 
 def quartiles(values: list) -> list:

@@ -289,11 +289,10 @@ def cmd_integral_test(args) -> int:
         raise ConfigError(f"integral.n_max must be between 1e5 and 1e9, got {n_max}")
     try:
         phi = PhiFamily(a=a, b=b, d=d)
-        phi.squared(1.0)  # 2 + a + b up to e^e, where every log floors
+        probe = integral_test_partial_sums(phi, n_max=n_max)
     except ValueError as exc:
         raise ConfigError(f"bad integral section: {exc}") from exc
     verdict = integral_test_classify(phi)
-    probe = integral_test_partial_sums(phi, n_max=n_max)
     agree = "PASS" if probe.verdict == verdict else "FAIL"
     print(f"boundary {phi.label()}")
     print(f"  classifier: {verdict}")

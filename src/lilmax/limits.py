@@ -103,15 +103,6 @@ class PhiFamily:
             )
         return float(r) if r.ndim == 0 else r
 
-    def _squared_floored(self, ll, out=None):
-        """phi^2 from LL t <= e, where both outer logs floor to log(e),
-        which is exactly 1.0: (2 LL + a) + b has the bits of the full form.
-        ``out`` may be ``ll`` itself."""
-        r = np.multiply(ll, 2.0, out=out)
-        r += self.a
-        r += self.b
-        return r
-
     def __call__(self, t):
         return np.sqrt(self.squared(t))
 
@@ -309,61 +300,26 @@ _LLL_RELEASE = math.exp(math.exp(math.e))
 
 def _exact_partial_sums(phi: PhiFamily, n_exact: int, at) -> dict:
     """{c: sum_{n <= c} term(n)} for each c in `at` (all <= n_exact),
-    streamed over n = 1..n_exact in blocks of _SUM_BLOCK rows.
-
-    One in-place kernel per block: a float index buffer advanced by
-    _SUM_BLOCK (exact below 2^53), a work buffer that goes LL n -> phi^2 ->
-    term -> partial sums, and a buffer for exp(-phi^2/2); nothing is
-    allocated per block.  The checks integral_test_term and phi.squared make
-    per element are made once per call instead:
-
-    - n_exact must lie below e^(e^e), so LL n <= e on every row and the
-      outer logs are exactly 1.0 (phi._squared_floored);
-    - phi^2 = (2 LL n + a) + b is nondecreasing in n, as every step rounds
-      monotonically, so phi.squared(1.0) raises exactly when some term would
-      have a negative phi^2, with the same message.
+    streamed over n = 1..n_exact in blocks of _SUM_BLOCK terms, each block
+    one integral_test_term call.
 
     Bit-identical to reading one np.cumsum of integral_test_term over the
-    whole range: each step is the same ufunc in the same order (``**`` keeps
-    numpy's scalar-exponent fast paths), the log floors are skipped only
-    from n = 16 on, where log(n) > e already, and the accumulate adds left
-    to right, so adding the carried total into a block's first term is
-    exactly the add the full cumsum makes there.
+    whole range: the accumulate adds left to right, so adding the carried
+    total into a block's first term is exactly the add the full cumsum
+    makes there.
     """
-    if n_exact >= _LLL_RELEASE:
-        raise ValueError(f"exact summation stops below e^(e^e), got n = {n_exact}")
-    phi.squared(1.0)
     at = sorted(set(at))
     sums = {}
     i = 0
     carry = 0.0
-    power = phi.d / 2.0
-    ns = np.arange(1.0, _SUM_BLOCK + 1.0)
-    work = np.empty(_SUM_BLOCK)
-    damp = np.empty(_SUM_BLOCK)
     for lo in range(1, n_exact + 1, _SUM_BLOCK):
-        m = min(_SUM_BLOCK, n_exact + 1 - lo)
-        n, part, ex = ns[:m], work[:m], damp[:m]
-        if lo < 16:  # from n = 16 on, n and log(n) both exceed e
-            np.maximum(n, math.e, out=part)
-            np.log(part, out=part)
-            np.maximum(part, math.e, out=part)
-        else:
-            np.log(n, out=part)
-        np.log(part, out=part)
-        phi._squared_floored(part, out=part)
-        np.multiply(part, -0.5, out=ex)
-        np.exp(ex, out=ex)
-        part **= power
-        part *= ex
-        part /= n
+        part = integral_test_term(phi, np.arange(lo, min(lo + _SUM_BLOCK, n_exact + 1)))
         part[0] += carry
         np.cumsum(part, out=part)
-        while i < len(at) and at[i] < lo + m:
+        while i < len(at) and at[i] < lo + len(part):
             sums[at[i]] = float(part[at[i] - lo])
             i += 1
         carry = part[-1]
-        ns += _SUM_BLOCK
     return sums
 
 
@@ -430,17 +386,18 @@ class IntegralProbe:
     Computed when the probe is made: ns, log_increments, slope_linear,
     slope_loglog, tail_increment and verdict.  Computed on the first read of
     partial_sums or em_validation_rel, once for both: those two, from the
-    exact and Euler-Maclaurin legs.  The deferred legs cannot raise: n_max
-    keeps the exact leg below e^(e^e), where the outer logs are exactly 1.0,
-    and phi^2(1) was checked when the probe was made (phi^2 is nondecreasing
-    in n, so a negative phi^2 anywhere shows at n = 1).
+    exact and Euler-Maclaurin legs.  The exact leg cannot raise: phi^2(1)
+    was checked when the probe was made, and below e^(e^e) ~ 3.8e6, which
+    covers n <= 10^6, phi^2 = 2 LL n + a + b is nondecreasing in n, so a
+    negative phi^2 there shows at n = 1.  Past e^(e^e) phi^2 can fall again
+    when a is strongly negative (a = -1000, b = 998 turns negative near
+    n = 4.4e6), and the Euler-Maclaurin leg then raises phi.squared's error.
 
     ns / partial_sums are honest partial sums at geometric checkpoints
     (exact summation up to 10^6, Euler-Maclaurin blocks beyond, the two
     validated against each other on the overlap (10^5, min(n_max, 10^6)]).
-    The exact leg is streamed in blocks of 8192 terms through one in-place
-    kernel, holds no array of length n, and is bit-identical to one
-    np.cumsum.
+    The exact leg sums integral_test_term in blocks of 8192 terms, holds no
+    array of length n, and is bit-identical to one np.cumsum.
     The verdict comes from growth slopes of the continued integral in
     w = log(LL n): block integrals grow like exp(w (d + 2 - a) / 2) with a
     power-of-w profile w^{1 - b/2} on the a = d + 2 critical line, so the
@@ -490,12 +447,13 @@ class IntegralProbe:
 def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralProbe:
     """Probe the boundary series of `phi` up to n_max (1e5..1e9).
 
-    Checks n_max and the sign of phi^2(1), with the exact leg's message, and
+    Checks n_max and the sign of phi^2(1), with phi.squared's message, and
     computes the verdict side now; partial_sums and em_validation_rel are
     computed on their first read (see IntegralProbe).  Then the terms up to
-    min(n_max, 10^6) are summed exactly, streamed in blocks of 8192 so that
-    no array of length n is held; every exact partial sum is bit-identical
-    to the same entry of one np.cumsum over 1..n.
+    min(n_max, 10^6) are summed exactly through integral_test_term,
+    streamed in blocks of 8192 so that no array of length n is held; every
+    exact partial sum is bit-identical to the same entry of one np.cumsum
+    over 1..n.
     """
     if not (_EM_CHECK_FROM <= n_max <= 10**9):
         raise ValueError("n_max must be between 1e5 and 1e9")

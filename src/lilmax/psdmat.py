@@ -8,7 +8,9 @@ Conventions:
 * a SymPSD holds finite entries, symmetric within TOL_SYM and stored exactly
   symmetric,
 * PSD means all eigenvalues >= -TOL_PSD (tiny negative values from roundoff
-  are clamped to zero where a square root is taken).
+  are clamped to zero where a square root is taken),
+* both tolerances are relative to max(1, largest absolute entry), since the
+  roundoff of a matrix built as q diag(lam) q^T scales with its norm.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class MatrixError(ValueError):
 
 
 class NotPSDError(MatrixError):
-    """Matrix has an eigenvalue below -TOL_PSD."""
+    """Matrix has an eigenvalue below -TOL_PSD, scaled to its entries."""
 
 
 class NearSingularError(MatrixError):
@@ -44,8 +46,10 @@ class SymPSD:
     def from_array(cls, arr) -> "SymPSD":
         m = _symmetric_entries(arr)
         lam_min = np.linalg.eigvalsh(m)[0]
-        if lam_min < -TOL_PSD:
-            raise NotPSDError(f"matrix has eigenvalue {lam_min:.3e} < -{TOL_PSD}")
+        if lam_min < -TOL_PSD:  # the scaled tolerance is never smaller
+            tol = TOL_PSD * _scale(m)
+            if lam_min < -tol:
+                raise NotPSDError(f"matrix has eigenvalue {lam_min:.3e} < -{tol}")
         return cls(entries=m)
 
     @property
@@ -53,9 +57,14 @@ class SymPSD:
         return self.entries.shape[0]
 
 
+def _scale(m: np.ndarray) -> float:
+    """max(1, largest absolute entry): what TOL_SYM and TOL_PSD are relative to."""
+    return max(1.0, float(np.max(np.abs(m))))
+
+
 def _symmetric_entries(arr) -> np.ndarray:
     """``arr`` as a read-only, exactly symmetric float matrix of dimension
-    1..MAX_DIM with finite entries, symmetric within TOL_SYM."""
+    1..MAX_DIM with finite entries, symmetric within TOL_SYM (scaled)."""
     m = np.array(arr, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MatrixError(f"expected a square matrix, got shape {m.shape}")
@@ -63,7 +72,8 @@ def _symmetric_entries(arr) -> np.ndarray:
         raise MatrixError(f"dimension must be in 1..{MAX_DIM}, got {m.shape[0]}")
     if not np.all(np.isfinite(m)):
         raise MatrixError("matrix has non-finite entries")
-    if float(np.max(np.abs(m - m.T))) > TOL_SYM:
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > TOL_SYM and asym > TOL_SYM * _scale(m):
         raise MatrixError("matrix is not symmetric within tolerance")
     m = 0.5 * (m + m.T)
     m.setflags(write=False)
@@ -74,11 +84,10 @@ def psd_sqrt(m: SymPSD) -> SymPSD:
     """Unique PSD square root via the eigendecomposition; defined for every
     SymPSD.
 
-    Eigenvalues in [-TOL_PSD, 0) are clamped to zero; anything lower has
-    already been rejected by the SymPSD constructor.  The root V sqrt(L) V^T
-    is PSD by construction, so its eigenvalues are not judged again against
-    the absolute TOL_PSD: their roundoff scales with the root's norm and
-    exceeds TOL_PSD once that norm passes about 10^6.
+    Eigenvalues in [-TOL_PSD, 0), with TOL_PSD scaled as in the SymPSD
+    constructor, are clamped to zero; anything lower has already been
+    rejected there.  The root V sqrt(L) V^T is PSD by construction, so its
+    eigenvalues are not judged again.
     """
     lam, v = np.linalg.eigh(m.entries)
     root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T

@@ -154,8 +154,9 @@ def _phi_squared_four_logs(phi, t):
 @pytest.mark.parametrize("a", [-1.0, -0.0, 0.0, 0.5, 2.75])
 @pytest.mark.parametrize("b", [-0.75, 0.0, 1.5])
 def test_phi_squared_floor_shortcut_is_bit_exact(a, b):
-    """Below e^(e^e) squared() skips the two outer logs; it must keep the
-    bits of the four-log formula there, across the switch and above it."""
+    """squared() takes each floored log once; it must keep the bits of the
+    four-log formula below e^(e^e), where the outer two logs are exactly
+    1.0, across the switch and above it."""
     phi = PhiFamily(a=a, b=b, d=2)
     below = np.concatenate([np.arange(1.0, 5000.0), np.geomspace(5000.0, 3_814_279.0, 997)])
     straddling = np.arange(_LLL_FLOOR_END - 40.0, _LLL_FLOOR_END + 40.0, 0.25)
@@ -618,7 +619,7 @@ CRITERION_08_GRID = [
 
 
 def test_in_place_kernel_matches_one_cumsum_on_criterion_08_grid():
-    """The in-place block kernel against integral_test_term and one cumsum,
+    """The streamed block sum against integral_test_term and one cumsum,
     by ==, at every block edge and checkpoint of a four-block range, for the
     75 cells criterion 08 probes (d = 1, 2, 3 take phi^2 ** 0.5, 1 and 1.5)."""
     n = 3 * _SUM_BLOCK + 17
@@ -647,10 +648,8 @@ def test_probe_negative_phi_squared_message_unchanged():
 
 
 def test_exact_leg_stays_below_the_log_floor_release():
-    # past e^(e^e) the outer logs are no longer 1.0, which the kernel assumes
+    # a range shorter than one block, read at its last index
     phi = PhiFamily(a=3.0, b=1.0, d=1)
-    with pytest.raises(ValueError, match="below e"):
-        _exact_partial_sums(phi, 3_814_280, [10])
     assert _exact_partial_sums(phi, 20, [20])[20] == float(
         np.cumsum(integral_test_term(phi, np.arange(1, 21)))[-1]
     )

@@ -53,12 +53,17 @@ def test_psd_sqrt_clamps_tiny_negative_eigenvalue():
     np.testing.assert_array_equal(root.entries, np.diag([2.0, 0.0]))
 
 
-def _rank_deficient(rng, d: int, scale: float) -> np.ndarray:
-    """q diag(lam) q^T, symmetrized, with d - 1 eigenvalues in
-    [0.1, 1) * scale and one exact zero before rounding."""
+def _rank_deficient_raw(rng, d: int, scale: float) -> np.ndarray:
+    """q diag(lam) q^T with d - 1 eigenvalues in [0.1, 1) * scale and one
+    exact zero before rounding; symmetric only up to roundoff."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     lam = np.array([scale * rng.uniform(0.1, 1) for _ in range(d - 1)] + [0.0])
-    x = (q * lam) @ q.T
+    return (q * lam) @ q.T
+
+
+def _rank_deficient(rng, d: int, scale: float) -> np.ndarray:
+    """_rank_deficient_raw, symmetrized."""
+    x = _rank_deficient_raw(rng, d, scale)
     return 0.5 * (x + x.T)
 
 
@@ -71,8 +76,8 @@ def test_psd_sqrt_accepts_every_constructed_matrix_at_large_norm():
     assert np.array_equal(root.entries, root.entries.T)
     assert not root.entries.flags.writeable
     assert op_norm(root.entries @ root.entries - x) <= 1e-12 * op_norm(x)
-    # every dimension across norms 10^6..10^13; the constructor refuses some
-    # of these inputs, and the root of each one it accepts exists
+    # every dimension across norms 10^6..10^13; the root of each input the
+    # constructor accepts exists
     rng = np.random.default_rng(33)
     accepted = 0
     for d in range(2, 9):
@@ -87,6 +92,26 @@ def test_psd_sqrt_accepts_every_constructed_matrix_at_large_norm():
                 root = psd_sqrt(m)
                 assert op_norm(root.entries @ root.entries - a) <= 1e-12 * op_norm(a)
     assert accepted >= 40, accepted
+
+
+def test_from_array_tolerances_scale_with_the_entries():
+    """Symmetry and the smallest eigenvalue are judged relative to
+    max(1, largest absolute entry): a PSD-by-construction matrix of norm
+    10^6..10^13 passes, raw or symmetrized, and a clearly negative
+    eigenvalue is still refused at that norm."""
+    rng = np.random.default_rng(1608)
+    for d in range(2, 9):
+        for scale in (1e6, 1e9, 1e13):
+            for _ in range(20):
+                x = _rank_deficient_raw(rng, d, scale)
+                for a in (x, 0.5 * (x + x.T)):
+                    m = SymPSD.from_array(a)
+                    assert np.array_equal(m.entries, 0.5 * (a + a.T))
+    with pytest.raises(NotPSDError) as err:
+        SymPSD.from_array(np.diag([1e13, -1e6]))
+    assert str(err.value) == "matrix has eigenvalue -1.000e+06 < -1000.0"
+    with pytest.raises(MatrixError, match="not symmetric"):
+        SymPSD.from_array([[1e13, 1e3], [0.0, 1e13]])
 
 
 def test_op_norm_of_indefinite_matrix():

@@ -646,8 +646,8 @@ def test_gamma_sequence_frozen_oracle(
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("value", [0.0, -1e-11, 0.3, 1.0, 7.25e5])
 def test_scaled_identity_matches_from_array(d, value):
-    # _gamma builds Gamma_n = value * I through from_array, which must keep
-    # every entry bit for bit (tiny negative values are within TOL_PSD)
+    # a scaled identity value * I goes through from_array with every entry
+    # kept bit for bit (tiny negative values are within TOL_PSD)
     want = value * np.eye(d)
     got = SymPSD.from_array(want)
     assert got.d == d
