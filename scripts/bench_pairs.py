@@ -13,10 +13,12 @@ same files on both, at its own default run length.
 
 The output file holds every run's end-to-end line (the human-readable line
 and the JSON result that ``perfbench/run.py`` prints last), each run's
-per-process figures (``setup_s``, ``wall_s``, ``reps_per_s`` and
-``peak_rss_mb`` of every workload process, from the run's results record)
-and, for each workload, seed and end-to-end metric, each side's median and
-quartiles and the number of pairs the working tree won.  Standard library
+per-process figures (one list per workload process, from the run's results
+record, in the order ``process_fields`` names: its tag, ``setup_s``,
+``wall_s``, ``reps_per_s``, ``peak_rss_mb`` and ``failed``) and, for each
+workload, seed and end-to-end metric, each side's median and quartiles and
+the number of pairs the working tree won.  It is indented by one space per
+level, with every list of numbers and strings on one line.  Standard library
 only; nothing is read from the network.
 """
 
@@ -34,6 +36,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 900
 SEEDS = (1608, 4549)
+PROCESS_FIELDS = ("tag", "setup_s", "wall_s", "reps_per_s", "peak_rss_mb", "failed")
 
 
 def extract_revision(rev: str, dest: str) -> str:
@@ -69,7 +72,7 @@ def same_bench_files(a: str, b: str) -> bool:
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run; its end-to-end line, JSON result and
-    per-process figures.
+    per-process figures (a list in ``PROCESS_FIELDS`` order per process).
 
     The per-process figures come from the run's record in
     ``<tree>/.perfbench/results/``, read right away: the next run on the
@@ -90,10 +93,22 @@ def run_once(tree: str, workload: str, seed: int) -> dict:
     record = os.path.join(tree, ".perfbench", "results", f"{workload}-seed{seed}-trace0.json")
     try:
         with open(record, encoding="utf-8") as fh:
-            processes = json.load(fh)["processes"]
-    except (OSError, ValueError, KeyError) as exc:
+            processes = [[p[f] for f in PROCESS_FIELDS] for p in json.load(fh)["processes"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         processes = f"unreadable: {exc}"
     return {"exit_code": 0, "line": line, "result": result, "processes": processes}
+
+
+def to_json(obj, indent: str = "") -> str:
+    """``obj`` as JSON with sorted keys, indented by one space per level,
+    except that a list or dict holding no list or dict is written on one line."""
+    inner = indent + " "
+    if isinstance(obj, dict) and any(isinstance(v, (dict, list)) for v in obj.values()):
+        items = [f"{inner}{json.dumps(k)}: {to_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+        return "[\n" + ",\n".join(inner + to_json(v, inner) for v in obj) + f"\n{indent}]"
+    return json.dumps(obj, sort_keys=True)
 
 
 def quartiles(values: list) -> list:
@@ -159,7 +174,7 @@ def main(argv=None) -> int:
             return 2
         trees = {"parent": parent_tree, "change": ROOT}
         report = {"parent": parent_rev, "run_seconds": spec["run_seconds"],
-                  "workloads": {}}
+                  "process_fields": list(PROCESS_FIELDS), "workloads": {}}
         k = 0
         for workload, n_pairs in pairs_for.items():
             per_seed = {}
@@ -178,7 +193,7 @@ def main(argv=None) -> int:
                 per_seed[str(seed)] = {"runs": pairs, "summary": summarize(pairs, better)}
                 report["workloads"][workload] = per_seed
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, indent=1, sort_keys=True)
+                    fh.write(to_json(report) + "\n")
     return 0
 
 

@@ -23,8 +23,10 @@ that take no ``--seed`` run without it: ``lilmax integral-test`` with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
 (3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
 is not a multiple of the probe's block size; ``lilmax validate`` with no
-config, on ``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2 and with the
-same table; and ``lilmax tail-bounds``.  Each side uses its own ``configs/``.
+config, on ``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2, with the
+same table, on ``uniform_cube`` d = 3, on ``rademacher_product`` d = 2 and
+on ``tightness_fat.ini``; and ``lilmax tail-bounds``: 16 subcommand runs.
+Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
 output, and its ``summary.jsonl`` with ``runtime_seconds`` dropped.  The
@@ -107,6 +109,12 @@ COMMANDS = [
     ("validate_polylog", "validate", None,
      ["experiment.scheme.family=sqrt_n_polylog", "experiment.scheme.q=2"]),
     ("validate_table", "validate", None, TABLE),
+    # tail limits 0 (bounded laws) and infinity (fat ladder); shift_ladder.ini has c
+    ("validate_cube_d3", "validate", None,
+     ["experiment.law.family=uniform_cube", "experiment.d=3"]),
+    ("validate_rademacher_d2", "validate", None,
+     ["experiment.law.family=rademacher_product", "experiment.d=2"]),
+    ("validate_tightness_fat", "validate", "tightness_fat.ini", []),
     ("tail_bounds", "tail-bounds", None, []),
 ] + [
     (f"integral_d{d}_a{a}_b{b}{tag}", "integral-test", None,

@@ -353,11 +353,19 @@ def _log_h(phi: PhiFamily, w: np.ndarray) -> np.ndarray:
     In this regime the term sum equals integral H(w) dw with
     log H(w) = (d/2) log(phi^2) - phi^2/2 + u + w and
     phi^2 = 2u + a w + b log(max(w, e)); the e^u factors cancel exactly,
-    which keeps everything finite for w up to 1e5.
+    which keeps everything finite for w up to 1e5.  Where phi^2 < 0, and
+    log1p would give NaN, raises phi.squared's error with LLL t = w for t.
     """
     w = np.asarray(w, dtype=float)
     lmw = np.log(np.maximum(w, math.e))
     lin = phi.a * w + phi.b * lmw
+    with np.errstate(over="ignore"):  # 2 e^w overflowing to inf is >= 0
+        negative = 2.0 * np.exp(w) + lin < 0.0
+    if negative.any():
+        raise ValueError(
+            f"phi^2 is negative at LLL t = {float(np.min(w[negative]))}: "
+            f"a = {phi.a}, b = {phi.b} are too negative there"
+        )
     # log(phi^2) = w + log 2 + log1p(lin / (2 e^w)), with the log1p term
     # underflowing to 0 once w is moderately large
     corr = np.where(w < 45.0, np.log1p(lin / (2.0 * np.exp(np.minimum(w, 45.0)))), 0.0)
@@ -386,12 +394,9 @@ class IntegralProbe:
     Computed when the probe is made: ns, log_increments, slope_linear,
     slope_loglog, tail_increment and verdict.  Computed on the first read of
     partial_sums or em_validation_rel, once for both: those two, from the
-    exact and Euler-Maclaurin legs.  The exact leg cannot raise: phi^2(1)
-    was checked when the probe was made, and below e^(e^e) ~ 3.8e6, which
-    covers n <= 10^6, phi^2 = 2 LL n + a + b is nondecreasing in n, so a
-    negative phi^2 there shows at n = 1.  Past e^(e^e) phi^2 can fall again
-    when a is strongly negative (a = -1000, b = 998 turns negative near
-    n = 4.4e6), and the Euler-Maclaurin leg then raises phi.squared's error.
+    exact and Euler-Maclaurin legs.  Neither leg can raise: phi^2 >= 0 on
+    [1, n_max], the range both legs evaluate, was checked when the probe was
+    made.
 
     ns / partial_sums are honest partial sums at geometric checkpoints
     (exact summation up to 10^6, Euler-Maclaurin blocks beyond, the two
@@ -447,17 +452,22 @@ class IntegralProbe:
 def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralProbe:
     """Probe the boundary series of `phi` up to n_max (1e5..1e9).
 
-    Checks n_max and the sign of phi^2(1), with phi.squared's message, and
-    computes the verdict side now; partial_sums and em_validation_rel are
-    computed on their first read (see IntegralProbe).  Then the terms up to
-    min(n_max, 10^6) are summed exactly through integral_test_term,
-    streamed in blocks of 8192 so that no array of length n is held; every
-    exact partial sum is bit-identical to the same entry of one np.cumsum
-    over 1..n.
+    Checks n_max and that phi^2 >= 0 wherever it is evaluated, with
+    phi.squared's message: on [1, n_max], where the summation legs run, and
+    at the verdict side's quadrature nodes.  Computes the verdict side now;
+    partial_sums and em_validation_rel are computed on their first read (see
+    IntegralProbe).  Then the terms up to min(n_max, 10^6) are summed
+    exactly through integral_test_term, streamed in blocks of 8192 so that
+    no array of length n is held; every exact partial sum is bit-identical
+    to the same entry of one np.cumsum over 1..n.
     """
     if not (_EM_CHECK_FROM <= n_max <= 10**9):
         raise ValueError("n_max must be between 1e5 and 1e9")
-    phi.squared(1.0)
+    # Below 10^9, LLLL n = 1 and u = LL n <= 3.04, so phi^2 = 2u + a max(1,
+    # log u) + b.  It has an inner minimum only at u = -a/2 in (e, 3.04), and
+    # there it exceeds phi^2(1) by 2(u - 1) + a(log u - 1) > 0, so its least
+    # value on [1, n_max] is at n = 1 or at n_max.
+    phi.squared(np.asarray([1.0, float(n_max)]))
 
     # geometric checkpoints for the partial sums
     checkpoints = [int(round(10 ** (j / 2.0))) for j in range(2, 19)]

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
 
-from .iterlog import iterlog
 from .psdmat import MAX_DIM
 
 # Special functions load on first use: scipy.special costs every process
@@ -414,46 +413,51 @@ def _gauss_prob_tail(d: int, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _per_radius(fn):
+    """Run ``fn(law, t)`` on the radii t as a 1-D float array: reject a
+    negative radius, and return a float for a scalar t."""
+    @wraps(fn)
+    def at_radii(law: IncrementLaw, t):
+        arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(arr < 0.0):
+            raise ValueError("radius must be nonnegative")
+        out = fn(law, arr)
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    return at_radii
+
+
+@_per_radius
 def radial_profile(law: IncrementLaw, t) -> np.ndarray | float:
     """Scalar radial profile a(t) with A(t)^2 = a(t) * identity.
 
     Inclusive at the truncation radius: a(t) = E[(X.e)^2 1{|X| <= t}] for any
     unit vector e.  Vectorized over t.
     """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("truncation radius must be nonnegative")
     fam = law.family
     if fam == "gaussian_iso":
-        out = _gauss_trunc_array(law.d, arr)
-    elif fam == "rademacher_product":
-        out = np.where(arr >= math.sqrt(law.d), 1.0, 0.0)
-    elif fam == "uniform_cube":
-        out = _cube_trunc_array(law.d, _cube_clamp(law.d, arr))
-    else:
-        out = _ladder_radius_trunc(law, arr) / law.d
-    return float(out[0]) if scalar else out
+        return _gauss_trunc_array(law.d, t)
+    if fam == "rademacher_product":
+        return np.where(t >= math.sqrt(law.d), 1.0, 0.0)
+    if fam == "uniform_cube":
+        return _cube_trunc_array(law.d, _cube_clamp(law.d, t))
+    return _ladder_radius_trunc(law, t) / law.d
 
 
+@_per_radius
 def prob_tail(law: IncrementLaw, t) -> np.ndarray | float:
     """P{|X| > t} (strict).  Vectorized over t."""
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("radius must be nonnegative")
     fam = law.family
     if fam == "gaussian_iso":
-        out = _gauss_prob_tail(law.d, arr)
-    elif fam == "rademacher_product":
-        out = np.where(arr < math.sqrt(law.d), 1.0, 0.0)
-    elif fam == "uniform_cube":
-        out = _cube_prob_tail(law.d, _cube_clamp(law.d, arr))
-    else:
-        out = _ladder_prob_tail(law, arr)
-    return float(out[0]) if scalar else out
+        return _gauss_prob_tail(law.d, t)
+    if fam == "rademacher_product":
+        return np.where(t < math.sqrt(law.d), 1.0, 0.0)
+    if fam == "uniform_cube":
+        return _cube_prob_tail(law.d, _cube_clamp(law.d, t))
+    return _ladder_prob_tail(law, t)
 
 
+@_per_radius
 def tail_second_moment(law: IncrementLaw, t) -> np.ndarray | float:
     """tau(t) = E[|X|^2 1{|X| >= t}], inclusive at atoms.
 
@@ -461,36 +465,36 @@ def tail_second_moment(law: IncrementLaw, t) -> np.ndarray | float:
     trace(identity - A(t)^2); on a ladder rung the atom at t is included,
     which is the version the tail conditions are stated for.
     """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("truncation radius must be nonnegative")
     fam = law.family
     if fam in ("atom_ladder", "atom_ladder_fat"):
-        out = _ladder_radius_tail_geq(law, arr)
-    elif fam == "rademacher_product":
-        out = np.where(arr <= math.sqrt(law.d), float(law.d), 0.0)
-    else:
-        out = law.d * (1.0 - np.atleast_1d(np.asarray(radial_profile(law, arr))))
-    return float(out[0]) if scalar else out
+        return _ladder_radius_tail_geq(law, t)
+    if fam == "rademacher_product":
+        return np.where(t <= math.sqrt(law.d), float(law.d), 0.0)
+    return law.d * (1.0 - radial_profile(law, t))
 
 
-@dataclass(frozen=True)
-class TailProfile:
-    t: float
-    ll_t: float
-    tau_times_llt: float
+def tail_llt_limit(law: IncrementLaw) -> float:
+    """lim tau(t) * LL(t) as t -> infinity, exactly.
+
+    0 for the sign and cube laws, whose tau vanishes past their largest
+    radius, and for the Gaussian, whose tau falls like exp(-t^2/2).  On the
+    atom ladder tau(t) * LL(t) is c at every rung and within c/(k+1) of it
+    between rungs k and k+1, so the limit is c; on the fat ladder it is
+    sqrt(k) at rung k, so the limit is infinite.
+    """
+    if law.family == "atom_ladder":
+        return law.c
+    if law.family == "atom_ladder_fat":
+        return math.inf
+    return 0.0
 
 
-def tail_profile(law: IncrementLaw, t_grid) -> list[TailProfile]:
-    """Tail functional tau(t) = E[|X|^2 1{|X| >= t}] with its LL(t) product."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    taus = np.atleast_1d(np.asarray(tail_second_moment(law, t_grid)))
-    lls = np.atleast_1d(iterlog(t_grid, 2))
-    return [
-        TailProfile(t=float(t), ll_t=float(ll), tau_times_llt=float(tau * ll))
-        for t, tau, ll in zip(t_grid, taus, lls)
-    ]
+def rung_radii(law: IncrementLaw) -> np.ndarray:
+    """A ladder's rung radii t_k for k = k0.. up to the sampler's last rung;
+    an empty array for a law without rungs."""
+    if law.family in ("atom_ladder", "atom_ladder_fat"):
+        return _ladder_data(law).levels
+    return np.empty(0)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,15 @@ def op_norm(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (arr + arr.T)))))
 
 
-def loewner_leq(a: SymPSD, b: SymPSD, *, tol: float = TOL_PSD) -> bool:
-    """True iff a <= b in the Loewner order, up to tol on the eigenvalues of b - a."""
+def loewner_leq(a: SymPSD, b: SymPSD, *, tol: float | None = None) -> bool:
+    """True iff a <= b in the Loewner order, up to tol on the eigenvalues of b - a.
+
+    An explicit tol is absolute.  The default is TOL_PSD relative to the
+    larger of a's and b's scales: b - a carries the roundoff of their
+    entries, which a difference of norm far below theirs does not show.
+    """
     if a.d != b.d:
         raise MatrixError("dimension mismatch")
+    if tol is None:
+        tol = TOL_PSD * max(_scale(a.entries), _scale(b.entries))
     return bool(np.linalg.eigvalsh(b.entries - a.entries)[0] >= -tol)

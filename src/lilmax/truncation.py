@@ -2,11 +2,10 @@
 
 A truncation scheme assigns to each time index n a level c_n that grows like
 sqrt(n) up to slowly varying corrections.  The normalizing matrices are the
-PSD square roots
-
-    Gamma_n = psd_sqrt( E[X X^T 1{|X| <= c_n}] ),
-
-computed from the analytic law (population quantity), never from the sample:
+PSD square roots of E[X X^T 1{|X| <= c_n}] = a(c_n) I.  Every catalogue law
+is isotropic, so Gamma_n = lambda_n I with lambda_n = sqrt(a(c_n)), and no
+run takes a matrix root; ``psdmat.psd_sqrt`` serves criterion 04.  Gamma_n
+comes from the analytic law (population quantity), never from the sample:
 the self-normalized statistic is defined through the law of X, and plugging
 in sampling noise would corrupt it.
 
@@ -56,7 +55,10 @@ from typing import Optional
 import numpy as np
 
 from .iterlog import iterlog
-from .models import IncrementLaw, law_id, prob_tail, radial_profile, tail_profile
+from .models import (
+    IncrementLaw, law_id, prob_tail, radial_profile, rung_radii, tail_llt_limit,
+    tail_second_moment,
+)
 from .psdmat import NearSingularError
 
 LAMBDA_FLOOR = 0.1       # smallest admissible eigenvalue of Gamma_n
@@ -234,22 +236,19 @@ def _jump_candidates(law: IncrementLaw, scheme: TruncationScheme, n_max: int) ->
     while k < n_max:
         k = max(k + 1, int(k * 1.01))
         ks.append(min(k, n_max))
-    if law.family in ("atom_ladder", "atom_ladder_fat"):
-        from .models import _ladder_data
-
-        for t_j in _ladder_data(law).levels:
-            if c_level(scheme, n_max) < t_j:
-                continue
-            lo, hi = 1, n_max
-            while lo < hi:  # smallest k with c_k >= t_j
-                mid = (lo + hi) // 2
-                if c_level(scheme, mid) >= t_j:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            for kk in (lo - 1, lo, lo + 1):
-                if 1 <= kk <= n_max:
-                    ks.append(kk)
+    for t_j in rung_radii(law):
+        if c_level(scheme, n_max) < t_j:
+            continue
+        lo, hi = 1, n_max
+        while lo < hi:  # smallest k with c_k >= t_j
+            mid = (lo + hi) // 2
+            if c_level(scheme, mid) >= t_j:
+                hi = mid
+            else:
+                lo = mid + 1
+        for kk in (lo - 1, lo, lo + 1):
+            if 1 <= kk <= n_max:
+                ks.append(kk)
     return np.unique(np.asarray(ks, dtype=np.int64))
 
 
@@ -490,37 +489,22 @@ class TailConditionReport:
     verdict: str
 
 
-_SMALL_O_VERDICT = {
-    "gaussian_iso": "PASS",
-    "rademacher_product": "PASS",
-    "uniform_cube": "PASS",
-    "atom_ladder": "FAIL",      # tau(t) * LLt -> c > 0
-    "atom_ladder_fat": "FAIL",  # tau(t) * LLt -> infinity
-}
-_BIG_O_VERDICT = {
-    "gaussian_iso": "PASS",
-    "rademacher_product": "PASS",
-    "uniform_cube": "PASS",
-    "atom_ladder": "PASS",      # bounded: limit exactly c
-    "atom_ladder_fat": "FAIL",
-}
-
-
 def validate_tail_condition(law: IncrementLaw, which: str, t_grid) -> TailConditionReport:
     """Check the compound tail condition tau(t) * LL(t) -> 0 (small_o) or O(1) (big_O).
 
-    Catalogued families get exact analytic verdicts; the limit estimate, the
-    median of tau(t) * LL(t) over the grid's tail half, shows the trend that
-    a finite-data diagnostic would see.
+    The verdict is exact: small_o passes iff the law's ``tail_llt_limit`` is
+    0 and big_O iff it is finite.  The limit estimate, the median of
+    tau(t) * LL(t) over the grid's tail half, shows the trend that a
+    finite-data diagnostic would see.
     """
     if which not in ("small_o", "big_O"):
         raise ValueError("which must be 'small_o' or 'big_O'")
     g = _validate_grid(t_grid, 1.0)
-    vals = np.asarray([r.tau_times_llt for r in tail_profile(law, g)])
-    limit = float(np.median(vals[len(vals) // 2 :]))
-    verdict = (_SMALL_O_VERDICT if which == "small_o" else _BIG_O_VERDICT)[law.family]
+    vals = tail_second_moment(law, g) * iterlog(g, 2)
+    limit = tail_llt_limit(law)
+    held = limit == 0.0 if which == "small_o" else math.isfinite(limit)
     return TailConditionReport(
         law=law_id(law),
-        limit_estimate=limit,
-        verdict=verdict,
+        limit_estimate=float(np.median(vals[len(vals) // 2 :])),
+        verdict="PASS" if held else "FAIL",
     )

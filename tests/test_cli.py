@@ -450,6 +450,27 @@ def test_integral_test_overflowed_tail_is_null(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "a, b, where",
+    [
+        (-1000, 998, "t = 1000000000.0:"),  # once exited 3 after its verdict lines
+        (-6000, 6648, "LLL t = 10.0027"),  # once printed a NaN verdict and exited 0
+    ],
+)
+def test_integral_test_rejects_phi_squared_negative_past_one(tmp_path, capsys, a, b, where):
+    """phi^2(1) >= 0, but phi^2 < 0 where a summation leg (n = 10^9) or the
+    verdict side (w = LLL t = 10) evaluates it: exit 2, before any output."""
+    out = tmp_path / "out"
+    sets = ["--set", f"integral.a={a}", "--set", f"integral.b={b}"]
+    assert main(["integral-test", "--out", str(out), *sets]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: bad integral section: phi^2 is negative at {where}"
+    )
+    assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
     "command, item, message",
     [
         ("integral-test", "integral.n_max=5e4", "between 1e5 and 1e9"),

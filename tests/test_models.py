@@ -165,13 +165,36 @@ def test_fat_ladder_rungs_grow_like_sqrt_k():
 
 
 def test_tail_profile_records():
+    """tau(t) * LL(t), the product the tail condition reads, is c at the rungs."""
     law = M.atom_ladder(0.5, 2, d=1)
-    grid = [math.exp(math.exp(k)) for k in range(2, 6)]
-    rows = tuple(M.tail_profile(law, grid))
-    assert [r.t for r in rows] == grid
-    for k, row in zip(range(2, 6), rows):
-        assert row.tau_times_llt == pytest.approx(0.5, rel=1e-12)
-        assert row.ll_t == pytest.approx(k, rel=1e-12)
+    grid = np.asarray([math.exp(math.exp(k)) for k in range(2, 6)])
+    lls = iterlog(grid, 2)
+    products = M.tail_second_moment(law, grid) * lls
+    for k, ll, product in zip(range(2, 6), lls, products):
+        assert product == pytest.approx(0.5, rel=1e-12)
+        assert ll == pytest.approx(k, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [M.atom_ladder(0.5, 2, d=1), M.atom_ladder_fat(3, d=2)],
+    ids=lambda law: law.family,
+)
+def test_rung_radii_are_the_sampled_rungs(law):
+    """rung_radii lists the radii the sampler draws past its core: t_k =
+    exp(exp(k)) from k0 to the last rung whose weight it keeps."""
+    radii = M.rung_radii(law)
+    assert np.array_equal(radii, M._ladder_data(law).levels)
+    assert radii.tolist() == [math.exp(math.exp(k)) for k in range(law.k0, law.k0 + radii.size)]
+    assert radii.size == len(M._ladder_data(law).weights) >= 2
+
+
+@pytest.mark.parametrize(
+    "law", [M.gaussian_iso(1), M.rademacher_product(2), M.uniform_cube(3)],
+    ids=lambda law: law.family,
+)
+def test_rung_radii_empty_without_rungs(law):
+    assert M.rung_radii(law).shape == (0,)
 
 
 def test_ladder_total_second_moment_is_dimension():

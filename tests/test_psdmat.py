@@ -142,6 +142,25 @@ def test_loewner_leq_ordered_and_unordered():
     assert loewner_leq(x, z, tol=1e-8)
 
 
+def test_loewner_leq_default_tolerance_scales_with_the_entries():
+    """b' = a + c c^T of norm 10^12 is ordered above a, though eig(b' - a)
+    carries roundoff near 10^-3; a - c c^T is not, and an explicit tol stays
+    absolute."""
+    rng = np.random.default_rng(1608)
+    for d in range(2, 9):
+        for _ in range(20):
+            x = rng.standard_normal((d, d)) * 1e6
+            c = rng.standard_normal((d, 1)) * 1e3
+            a = SymPSD.from_array(x @ x.T)
+            above = SymPSD.from_array(a.entries + c @ c.T)
+            below = SymPSD.from_array(a.entries - c @ c.T)
+            assert loewner_leq(a, above)
+            assert not loewner_leq(a, below)
+    big = SymPSD.from_array(np.diag([1e12, 1.0]))
+    assert loewner_leq(big, SymPSD.from_array(np.diag([1e12, 1.0 - 1e-3])))
+    assert not loewner_leq(big, SymPSD.from_array(np.diag([1e12, 1.0 - 1e-3])), tol=1e-9)
+
+
 def test_loewner_leq_dimension_mismatch():
     with pytest.raises(MatrixError, match="dimension mismatch"):
         loewner_leq(SymPSD.from_array(np.eye(2)), SymPSD.from_array(np.eye(3)))

@@ -207,6 +207,25 @@ def test_tail_condition_verdicts():
     assert T.validate_tail_condition(fat, "big_O", TAIL_GRID).verdict == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "law, limit, small_o, big_o",
+    [
+        (M.gaussian_iso(1), 0.0, "PASS", "PASS"),
+        (M.rademacher_product(2), 0.0, "PASS", "PASS"),
+        (M.uniform_cube(3), 0.0, "PASS", "PASS"),
+        (M.atom_ladder(0.5, 2, d=1), 0.5, "FAIL", "PASS"),
+        (M.atom_ladder_fat(2, d=1), math.inf, "FAIL", "FAIL"),
+    ],
+    ids=lambda v: v.family if isinstance(v, M.IncrementLaw) else None,
+)
+def test_tail_verdicts_follow_the_exact_limit(law, limit, small_o, big_o):
+    """Each family's exact lim tau(t) * LL(t) and the two verdicts it gives:
+    small_o passes iff the limit is 0, big_O iff it is finite."""
+    assert M.tail_llt_limit(law) == limit
+    assert T.validate_tail_condition(law, "small_o", TAIL_GRID).verdict == small_o
+    assert T.validate_tail_condition(law, "big_O", TAIL_GRID).verdict == big_o
+
+
 def test_tail_condition_ladder_limit_estimate():
     # tau(t) * LL(t) = c between rung scale effects; median on the tail ~ c
     lad = M.atom_ladder(0.5, 2, d=1)
