@@ -17,7 +17,10 @@ per-process figures (one list per workload process, from the run's results
 record, in the order ``process_fields`` names: its tag, ``setup_s``,
 ``wall_s``, ``reps_per_s``, ``peak_rss_mb`` and ``failed``) and, for each
 workload, seed and end-to-end metric, each side's median and quartiles and
-the number of pairs the working tree won.  It is indented by one space per
+the number of pairs the working tree won.  ``process_setup_s`` gives each
+side's median over runs of the run's median ``setup_s`` over its processes:
+a run reports its slowest process, so one process the host delays decides
+its ``setup_s``.  It is indented by one space per
 level, with every list of numbers and strings on one line.  Standard library
 only; nothing is read from the network.
 """
@@ -118,8 +121,19 @@ def quartiles(values: list) -> list:
     return [q1, q2, q3]
 
 
+def process_median(run: dict, field: str):
+    """Median over a run's processes of one per-process figure, or None when
+    the run has no readable process list."""
+    processes = run.get("processes")
+    if not isinstance(processes, list) or not processes:
+        return None
+    i = PROCESS_FIELDS.index(field)
+    return statistics.median(p[i] for p in processes)
+
+
 def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and pairs won."""
+    """Per metric: each side's median and quartiles, and pairs won; and each
+    side's median over runs of the per-process median ``setup_s``."""
     out = {}
     ok = [p for p in pairs if p["parent"].get("result") and p["change"].get("result")]
     if not ok:
@@ -141,6 +155,14 @@ def summarize(pairs: list, better: dict) -> dict:
             "change_losses": losses,
             "pairs": len(ok),
         }
+    per_process = {}
+    for side in ("parent", "change"):
+        medians = [process_median(p[side], "setup_s") for p in ok]
+        medians = [m for m in medians if m is not None]
+        if medians:
+            per_process[f"{side}_median"] = statistics.median(medians)
+            per_process[f"{side}_runs"] = len(medians)
+    out["process_setup_s"] = per_process
     return out
 
 

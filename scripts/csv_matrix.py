@@ -22,10 +22,11 @@ tightness-probe`` on ``tightness_fat.ini`` run the same way.  The commands
 that take no ``--seed`` run without it: ``lilmax integral-test`` with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
 (3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
-is not a multiple of the probe's block size; ``lilmax validate`` with no
+is not a multiple of the probe's block size, and at a = 1e20, whose slopes
+are large but finite; ``lilmax validate`` with no
 config, on ``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2, with the
 same table, on ``uniform_cube`` d = 3, on ``rademacher_product`` d = 2 and
-on ``tightness_fat.ini``; and ``lilmax tail-bounds``: 16 subcommand runs.
+on ``tightness_fat.ini``; and ``lilmax tail-bounds``: 17 subcommand runs.
 Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
@@ -121,6 +122,9 @@ COMMANDS = [
      [f"integral.d={d}", f"integral.a={a}", f"integral.b={b}", *n_max])
     for d, a, b in ((1, 2, 1), (2, 4, 3), (3, 5, 2))
     for tag, n_max in (("", []), ("_n123457", ["integral.n_max=123457"]))
+] + [
+    # large but finite slopes: a coefficient the probe must not refuse
+    ("integral_d1_a1e20", "integral-test", None, ["integral.a=1e20"]),
 ]
 
 

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .harness import (
+    CSV_HEADER,
     ConfigError,
     ExperimentConfig,
     append_jsonl,
@@ -452,10 +453,7 @@ def cmd_replay(args) -> int:
             f"replication {index} out of range: {csv_path} has {len(rows)} rows"
         )
     fresh = record_row(index, replicate(cfg, build_normalizer(cfg), index))
-    stored = ",".join(
-        rows[index][col] for col in
-        ("replication_index", "mode", "value", "argmax_k", "n", "d", "seed")
-    )
+    stored = ",".join(rows[index][col] for col in CSV_HEADER.split(","))
     if fresh == stored:
         print(f"replay OK: replication {index} of {cfg.name} reproduces bit for bit")
         return 0

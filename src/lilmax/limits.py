@@ -21,7 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .iterlog import _log_chain
-from .models import _GL_NODES, _GL_WEIGHTS, _gl_integrate, gaussian_iso, prob_tail
+from .models import (
+    _GL_NODES, _GL_WEIGHTS, _gl_integrate, _prefix_sums, gaussian_iso, prob_tail,
+)
 
 __all__ = [
     "GumbelLaw",
@@ -290,37 +292,8 @@ def integral_test_term(phi: PhiFamily, ns):
 _EXACT_SUM_LIMIT = 1_000_000
 # the Euler-Maclaurin leg is validated on (_EM_CHECK_FROM, n_exact]
 _EM_CHECK_FROM = 10**5
-# Rows per block of the streamed exact sum: 8192 float64 rows are 64 KB,
-# under glibc's 128 KB mmap threshold, so each block's temporaries reuse
-# heap memory instead of faulting in fresh pages.
-_SUM_BLOCK = 8192
 # LLL kink: LL(n) crosses e here, releasing the third-log floor
 _LLL_RELEASE = math.exp(math.exp(math.e))
-
-
-def _exact_partial_sums(phi: PhiFamily, n_exact: int, at) -> dict:
-    """{c: sum_{n <= c} term(n)} for each c in `at` (all <= n_exact),
-    streamed over n = 1..n_exact in blocks of _SUM_BLOCK terms, each block
-    one integral_test_term call.
-
-    Bit-identical to reading one np.cumsum of integral_test_term over the
-    whole range: the accumulate adds left to right, so adding the carried
-    total into a block's first term is exactly the add the full cumsum
-    makes there.
-    """
-    at = sorted(set(at))
-    sums = {}
-    i = 0
-    carry = 0.0
-    for lo in range(1, n_exact + 1, _SUM_BLOCK):
-        part = integral_test_term(phi, np.arange(lo, min(lo + _SUM_BLOCK, n_exact + 1)))
-        part[0] += carry
-        np.cumsum(part, out=part)
-        while i < len(at) and at[i] < lo + len(part):
-            sums[at[i]] = float(part[at[i] - lo])
-            i += 1
-        carry = part[-1]
-    return sums
 
 
 def _em_segment_sum(phi: PhiFamily, n0: float, n1: float) -> float:
@@ -353,24 +326,34 @@ def _log_h(phi: PhiFamily, w: np.ndarray) -> np.ndarray:
     In this regime the term sum equals integral H(w) dw with
     log H(w) = (d/2) log(phi^2) - phi^2/2 + u + w and
     phi^2 = 2u + a w + b log(max(w, e)); the e^u factors cancel exactly,
-    which keeps everything finite for w up to 1e5.  Where phi^2 < 0, and
-    log1p would give NaN, raises phi.squared's error with LLL t = w for t.
+    which keeps everything finite for w up to 1e5 unless a or b is huge.
+    Where phi^2 < 0, and log1p would give NaN, raises phi.squared's error
+    with LLL t = w for t; where a w or b log w overflows and log H is not
+    finite, raises a ValueError naming a and b.
     """
     w = np.asarray(w, dtype=float)
     lmw = np.log(np.maximum(w, math.e))
-    lin = phi.a * w + phi.b * lmw
-    with np.errstate(over="ignore"):  # 2 e^w overflowing to inf is >= 0
+    # 2 e^w overflowing to inf is >= 0; other overflows are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = phi.a * w + phi.b * lmw
         negative = 2.0 * np.exp(w) + lin < 0.0
-    if negative.any():
+        if negative.any():
+            raise ValueError(
+                f"phi^2 is negative at LLL t = {float(np.min(w[negative]))}: "
+                f"a = {phi.a}, b = {phi.b} are too negative there"
+            )
+        # log(phi^2) = w + log 2 + log1p(lin / (2 e^w)), with the log1p term
+        # underflowing to 0 once w is moderately large
+        corr = np.where(w < 45.0, np.log1p(lin / (2.0 * np.exp(np.minimum(w, 45.0)))), 0.0)
+        log_phi2 = w + math.log(2.0) + corr
+        log_h = (phi.d / 2.0) * log_phi2 + (1.0 - phi.a / 2.0) * w - (phi.b / 2.0) * lmw
+    bad = ~np.isfinite(log_h)
+    if bad.any():
         raise ValueError(
-            f"phi^2 is negative at LLL t = {float(np.min(w[negative]))}: "
-            f"a = {phi.a}, b = {phi.b} are too negative there"
+            f"the probe's log-integrand is not finite at LLL t = {float(np.min(w[bad]))}: "
+            f"a = {phi.a}, b = {phi.b} are too large there"
         )
-    # log(phi^2) = w + log 2 + log1p(lin / (2 e^w)), with the log1p term
-    # underflowing to 0 once w is moderately large
-    corr = np.where(w < 45.0, np.log1p(lin / (2.0 * np.exp(np.minimum(w, 45.0)))), 0.0)
-    log_phi2 = w + math.log(2.0) + corr
-    return (phi.d / 2.0) * log_phi2 + (1.0 - phi.a / 2.0) * w - (phi.b / 2.0) * lmw
+    return log_h
 
 
 def _log_block_integrals(phi: PhiFamily, edges: np.ndarray) -> np.ndarray:
@@ -401,8 +384,8 @@ class IntegralProbe:
     ns / partial_sums are honest partial sums at geometric checkpoints
     (exact summation up to 10^6, Euler-Maclaurin blocks beyond, the two
     validated against each other on the overlap (10^5, min(n_max, 10^6)]).
-    The exact leg sums integral_test_term in blocks of 8192 terms, holds no
-    array of length n, and is bit-identical to one np.cumsum.
+    The exact leg reads its checkpoints from ``models._prefix_sums`` over
+    integral_test_term: no array of length n, the bits of one np.cumsum.
     The verdict comes from growth slopes of the continued integral in
     w = log(LL n): block integrals grow like exp(w (d + 2 - a) / 2) with a
     power-of-w profile w^{1 - b/2} on the a = d + 2 critical line, so the
@@ -426,9 +409,10 @@ class IntegralProbe:
         phi = self.phi
         n_exact = min(self.n_max, _EXACT_SUM_LIMIT)
         checkpoints = self.ns.tolist()
-        exact = _exact_partial_sums(
-            phi, n_exact, [c for c in checkpoints if c <= n_exact] + [_EM_CHECK_FROM, n_exact]
-        )
+        wanted = [c for c in checkpoints if c <= n_exact] + [_EM_CHECK_FROM, n_exact]
+        exact = {}
+        for lo, part in _prefix_sums(lambda ns: integral_test_term(phi, ns), n_exact):
+            exact.update((c, float(part[c - lo - 1])) for c in wanted if lo < c <= lo + len(part))
         sums = [
             exact[c] if c <= n_exact else exact[n_exact] + _em_segment_sum(phi, n_exact, c)
             for c in checkpoints
@@ -456,10 +440,9 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
     phi.squared's message: on [1, n_max], where the summation legs run, and
     at the verdict side's quadrature nodes.  Computes the verdict side now;
     partial_sums and em_validation_rel are computed on their first read (see
-    IntegralProbe).  Then the terms up to min(n_max, 10^6) are summed
-    exactly through integral_test_term, streamed in blocks of 8192 so that
-    no array of length n is held; every exact partial sum is bit-identical
-    to the same entry of one np.cumsum over 1..n.
+    IntegralProbe, whose exact leg streams through ``models._prefix_sums``).
+    Refuses coefficients too large for the verdict side, where its
+    log-integrand is not finite at some node.
     """
     if not (_EM_CHECK_FROM <= n_max <= 10**9):
         raise ValueError("n_max must be between 1e5 and 1e9")
@@ -467,7 +450,8 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
     # log u) + b.  It has an inner minimum only at u = -a/2 in (e, 3.04), and
     # there it exceeds phi^2(1) by 2(u - 1) + a(log u - 1) > 0, so its least
     # value on [1, n_max] is at n = 1 or at n_max.
-    phi.squared(np.asarray([1.0, float(n_max)]))
+    with np.errstate(over="ignore"):  # an overflow to inf is >= 0
+        phi.squared(np.asarray([1.0, float(n_max)]))
 
     # geometric checkpoints for the partial sums
     checkpoints = [int(round(10 ** (j / 2.0))) for j in range(2, 19)]

@@ -45,6 +45,7 @@ from .psdmat import MAX_DIM
 
 _CUBE_HALF = math.sqrt(3.0)  # uniform half-width giving unit variance
 _LADDER_WEIGHT_FLOOR = 1.0e-300
+_LADDER_LOG_LOG_MAX = math.log(700.0)  # rungs t_k = exp(e^k) past this k overflow double
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,8 @@ def _ladder_data(law: IncrementLaw) -> _Ladder:
     levels = []
     weights = []
     k = k0
-    while True:
-        log_t = math.exp(k)               # log t_k = e^k
-        if log_t > 700.0:                 # t_k overflows double
-            break
-        t = math.exp(log_t)
+    while k <= _LADDER_LOG_LOG_MAX:
+        t = math.exp(math.exp(k))
         p = float(_ladder_rung_second_moment(law, np.array([k]))[0]) / (t * t)
         if p < _LADDER_WEIGHT_FLOOR:
             break
@@ -274,6 +272,34 @@ def _gl_integrate(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     nodes = mid[..., None] + half[..., None] * _GL_NODES
     vals = fn(nodes)
     return half * np.sum(vals * _GL_WEIGHTS, axis=-1)
+
+
+# Indices per block of a streamed prefix sum: 8192 float64 terms are 64 KB,
+# under glibc's 128 KB mmap threshold, so each block's temporaries reuse heap
+# memory instead of faulting in fresh pages.
+_PREFIX_BLOCK = 8192
+
+
+def _prefix_sums(term, n: int):
+    """Yield (lo, part) block by block over the indices 1..n, where part[i]
+    is term(1) + ... + term(lo + i + 1).
+
+    ``term`` maps an index array to a fresh float64 array; each block is one
+    ``term(np.arange(lo + 1, hi + 1))`` call over at most _PREFIX_BLOCK
+    indices, summed in place with the carried total added into its first
+    term.  The accumulate adds left to right, so that add is exactly the
+    one a single np.cumsum over all n terms makes there: every partial sum
+    has that cumsum's bits, and no temporary is longer than a block.
+    (walkstats._scan carries a Neumaier-compensated total over random draws
+    instead, so its sums do not have the bits of one np.cumsum.)
+    """
+    carry = 0.0
+    for lo in range(0, n, _PREFIX_BLOCK):
+        part = term(np.arange(lo + 1, min(lo + _PREFIX_BLOCK, n) + 1))
+        part[0] += carry
+        np.cumsum(part, out=part)
+        carry = part[-1]
+        yield lo, part
 
 
 @lru_cache(maxsize=None)

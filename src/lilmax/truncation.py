@@ -56,8 +56,8 @@ import numpy as np
 
 from .iterlog import iterlog
 from .models import (
-    IncrementLaw, law_id, prob_tail, radial_profile, rung_radii, tail_llt_limit,
-    tail_second_moment,
+    IncrementLaw, _prefix_sums, law_id, prob_tail, radial_profile, rung_radii,
+    tail_llt_limit, tail_second_moment,
 )
 from .psdmat import NearSingularError
 
@@ -66,7 +66,6 @@ JUMP_BUDGET = 0.01       # admissible sup of k * P{|X| > c_k} on the early windo
 JUMP_WINDOW = 4096       # early-term window the budget clause scans
 EXACT_LIMIT = 10_000     # per-index cache below, checkpoints above
 CHECKPOINT_RATIO = 1.001
-_PREFIX_BLOCK = 8192     # indices per block of the streamed B_k build
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +393,18 @@ class GammaSequence:
 def feller_bn_prefix(law: IncrementLaw, scheme: TruncationScheme, n: int) -> np.ndarray:
     """B_1..B_n with B_k = sum_{j<=k} E[X^2 1{|X| <= c_{j v n0}}]; line only.
 
-    Streamed into the one output array in blocks of _PREFIX_BLOCK indices:
-    a block's levels, its profile, then its partial sums in place with the
-    carried total added into its first term.  Levels and profile are
-    elementwise, and the accumulate adds left to right, so that add is
-    exactly the one a single np.cumsum over all n terms makes there: the
-    result has its bits, and every temporary is block-sized.
+    Each block of ``models._prefix_sums`` (levels, then profile, then its
+    partial sums) is copied into the one output array, so the result has
+    the bits of one np.cumsum over all n terms and every temporary is
+    block-sized.
     """
     if law.d != 1:
         raise ValueError("the Feller running variance is defined for d = 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     out = np.empty(n)
-    carry = 0.0
-    for lo in range(0, n, _PREFIX_BLOCK):
-        part = out[lo : lo + _PREFIX_BLOCK]
-        part[:] = radial_profile(law, c_levels(scheme, np.arange(lo + 1, lo + len(part) + 1)))
-        part[0] += carry
-        np.cumsum(part, out=part)
-        carry = part[-1]
+    for lo, part in _prefix_sums(lambda ks: radial_profile(law, c_levels(scheme, ks)), n):
+        out[lo : lo + len(part)] = part
     return out
 
 

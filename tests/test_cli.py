@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -468,6 +469,54 @@ def test_integral_test_rejects_phi_squared_negative_past_one(tmp_path, capsys, a
         f"config error: bad integral section: phi^2 is negative at {where}"
     )
     assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "items",
+    [["integral.a=1e308"], ["integral.b=1e308"], ["integral.a=1e308", "integral.b=1e308"]],
+    ids=["a", "b", "both"],
+)
+def test_integral_test_rejects_coefficients_too_large_for_the_probe(tmp_path, capsys, items):
+    """a w or b log w overflows at the verdict side's nodes, up to w = 10^5:
+    exit 2 before any output and with no RuntimeWarning (this once printed
+    NaN slopes with "agreement: PASS" and exited 0)."""
+    out = tmp_path / "out"
+    sets = [arg for item in items for arg in ("--set", item)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["integral-test", "--out", str(out), *sets]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: bad integral section: the probe's log-integrand is not finite"
+    )
+    assert ", b = " in captured.err
+    assert not (out / "summary.jsonl").exists()
+
+
+def test_integral_test_keeps_large_finite_coefficients(tmp_path, capsys):
+    # a = 1e20: slopes of order -1e19 and -1e23, large but finite
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["integral-test", "--out", str(out), "--set", "integral.a=1e20"]) == 0
+    assert "agreement:  PASS" in capsys.readouterr().out
+    payload = _summaries(out)[-1]
+    assert math.isfinite(payload["slope_linear"]) and payload["slope_linear"] < -1e19
+    assert math.isfinite(payload["slope_loglog"]) and payload["slope_loglog"] < -1e23
+
+
+@pytest.mark.parametrize("k0", [710, 10**6])
+@pytest.mark.parametrize("config", ["shift_ladder.ini", "tightness_fat.ini"])
+def test_ladder_with_no_representable_rung_runs(tmp_path, capsys, config, k0):
+    """From k0 = 710 on, exp(k0) itself overflows; these runs once exited 3
+    with "OverflowError: math range error"."""
+    cfg = os.path.join(CONFIGS, config)
+    small = ["--set", f"experiment.law.k0={k0}", "--set", "experiment.n=2000",
+             "--set", "experiment.replications=4"]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), *small]) == 0
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "val"), *small]) == 0
+    assert f"k0{k0}-sphere" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

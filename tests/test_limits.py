@@ -19,10 +19,8 @@ from scipy.integrate import quad as scipy_quad
 from lilmax import limits
 from lilmax.iterlog import iterlog
 from lilmax.limits import (
-    _SUM_BLOCK,
     GumbelLaw,
     PhiFamily,
-    _exact_partial_sums,
     aniso_chisq_density_ratio,
     chi_norm_tail,
     chi_tail_envelope,
@@ -31,6 +29,7 @@ from lilmax.limits import (
     integral_test_partial_sums,
     integral_test_term,
 )
+from lilmax.models import _PREFIX_BLOCK, _prefix_sums
 
 # mpmath 40-digit frozen values
 Q_HALF3_AT_2 = 0.2614641299491106  # Q(3/2, 2), the d=3, t=2 tail
@@ -597,17 +596,26 @@ def test_probe_frozen_oracle(cell, n_max):
     assert probe.verdict == want["verdict"]
 
 
+def _streamed_sums(phi, n, at):
+    """{c: S_c} for each c in `at`, read from the blocks that
+    _prefix_sums streams over integral_test_term up to n."""
+    sums = {}
+    for lo, part in _prefix_sums(lambda ns: integral_test_term(phi, ns), n):
+        sums.update((c, part[c - lo - 1]) for c in at if lo < c <= lo + len(part))
+    return sums
+
+
 @pytest.mark.parametrize(
-    "n", [13 * _SUM_BLOCK, 13 * _SUM_BLOCK + 1, 10**6], ids=["boundary", "past", "1e6"]
+    "n", [13 * _PREFIX_BLOCK, 13 * _PREFIX_BLOCK + 1, 10**6], ids=["boundary", "past", "1e6"]
 )
 @pytest.mark.parametrize("d", [1, 3])
 def test_streamed_sum_matches_one_cumsum(n, d):
     phi = PhiFamily(a=d + 2, b=1, d=d)
     at = [int(round(10 ** (j / 2.0))) for j in range(2, 13)]
     at = [c for c in at if c <= n] + [n]
-    edges = range(_SUM_BLOCK, n, _SUM_BLOCK)
+    edges = range(_PREFIX_BLOCK, n, _PREFIX_BLOCK)
     at += list(edges) + [e + 1 for e in edges]
-    got = _exact_partial_sums(phi, n, at)
+    got = _streamed_sums(phi, n, at)
     full = np.cumsum(integral_test_term(phi, np.arange(1, n + 1)))
     assert sorted(got) == sorted(set(at))
     assert all(got[c] == full[c - 1] for c in at)
@@ -622,15 +630,15 @@ def test_in_place_kernel_matches_one_cumsum_on_criterion_08_grid():
     """The streamed block sum against integral_test_term and one cumsum,
     by ==, at every block edge and checkpoint of a four-block range, for the
     75 cells criterion 08 probes (d = 1, 2, 3 take phi^2 ** 0.5, 1 and 1.5)."""
-    n = 3 * _SUM_BLOCK + 17
+    n = 3 * _PREFIX_BLOCK + 17
     at = [int(round(10 ** (j / 2.0))) for j in range(2, 9)] + [1, 15, 16, 17, n]
-    for e in range(_SUM_BLOCK, n, _SUM_BLOCK):
+    for e in range(_PREFIX_BLOCK, n, _PREFIX_BLOCK):
         at += [e - 1, e, e + 1]
     ns = np.arange(1, n + 1)
     for d, a, b in CRITERION_08_GRID:
         phi = PhiFamily(a=a, b=b, d=d)
         full = np.cumsum(integral_test_term(phi, ns))
-        got = _exact_partial_sums(phi, n, at)
+        got = _streamed_sums(phi, n, at)
         assert sorted(got) == sorted(set(at))
         bad = [c for c in at if got[c] != full[c - 1]]
         assert not bad, ((d, a, b), bad)
@@ -650,7 +658,7 @@ def test_probe_negative_phi_squared_message_unchanged():
 def test_exact_leg_stays_below_the_log_floor_release():
     # a range shorter than one block, read at its last index
     phi = PhiFamily(a=3.0, b=1.0, d=1)
-    assert _exact_partial_sums(phi, 20, [20])[20] == float(
+    assert _streamed_sums(phi, 20, [20])[20] == float(
         np.cumsum(integral_test_term(phi, np.arange(1, 21)))[-1]
     )
 
@@ -677,7 +685,7 @@ def test_probe_verdict_side_skips_the_summation_legs(monkeypatch):
     def unread(*args):
         raise AssertionError("a summation leg ran for the verdict side")
 
-    monkeypatch.setattr(limits, "_exact_partial_sums", unread)
+    monkeypatch.setattr(limits, "_prefix_sums", unread)
     monkeypatch.setattr(limits, "_em_segment_sum", unread)
     for d, a, b in CRITERION_08_GRID:
         phi = PhiFamily(a=a, b=b, d=d)
@@ -699,13 +707,13 @@ def test_probe_verdict_side_skips_the_summation_legs(monkeypatch):
 
 def test_probe_sums_once_on_first_read(monkeypatch):
     calls = []
-    exact = limits._exact_partial_sums
+    kernel = limits._prefix_sums
 
     def counted(*args):
         calls.append(args[1])
-        return exact(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(limits, "_exact_partial_sums", counted)
+    monkeypatch.setattr(limits, "_prefix_sums", counted)
     probe = integral_test_partial_sums(PhiFamily(a=3.0, b=1.0, d=2), n_max=123_457)
     assert calls == []
     sums = probe.partial_sums

@@ -197,6 +197,16 @@ def test_rung_radii_empty_without_rungs(law):
     assert M.rung_radii(law).shape == (0,)
 
 
+@pytest.mark.parametrize("k0", [710, 10**6])
+@pytest.mark.parametrize("family", ["atom_ladder", "atom_ladder_fat"])
+def test_ladder_past_the_last_double_rung_has_none(family, k0):
+    # exp(k0) overflows from k0 = 710 on; every rung lies past the doubles
+    law = M.atom_ladder(0.5, k0) if family == "atom_ladder" else M.atom_ladder_fat(k0)
+    assert M.rung_radii(law).shape == (0,)
+    profile = M.radial_profile(law, np.array([0.0, 0.5, 1.0, 10.0, 1e300]))
+    assert np.all(np.isfinite(profile)) and profile[-1] < 1.0
+
+
 def test_ladder_total_second_moment_is_dimension():
     for law in [M.atom_ladder(0.5, 2, d=1), M.atom_ladder_fat(2, d=2)]:
         # ideal ladder: truncation at +inf recovers the full variance budget
