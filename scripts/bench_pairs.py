@@ -17,10 +17,10 @@ per-process figures (one list per workload process, from the run's results
 record, in the order ``process_fields`` names: its tag, ``setup_s``,
 ``wall_s``, ``reps_per_s``, ``peak_rss_mb`` and ``failed``) and, for each
 workload, seed and end-to-end metric, each side's median and quartiles and
-the number of pairs the working tree won.  ``process_setup_s`` gives each
-side's median over runs of the run's median ``setup_s`` over its processes:
-a run reports its slowest process, so one process the host delays decides
-its ``setup_s``.  It is indented by one space per
+the number of pairs the working tree won.  ``process_medians`` gives, for
+each end-to-end metric, each side's median over runs of the run's median
+over its processes: a run reports its worst process, so one process the
+host delays decides its figure.  It is indented by one space per
 level, with every list of numbers and strings on one line.  Standard library
 only; nothing is read from the network.
 """
@@ -132,8 +132,9 @@ def process_median(run: dict, field: str):
 
 
 def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and pairs won; and each
-    side's median over runs of the per-process median ``setup_s``."""
+    """Per metric: each side's median and quartiles, and pairs won; and,
+    under ``process_medians``, each side's median over runs of the run's
+    median over its processes."""
     out = {}
     ok = [p for p in pairs if p["parent"].get("result") and p["change"].get("result")]
     if not ok:
@@ -155,14 +156,16 @@ def summarize(pairs: list, better: dict) -> dict:
             "change_losses": losses,
             "pairs": len(ok),
         }
-    per_process = {}
-    for side in ("parent", "change"):
-        medians = [process_median(p[side], "setup_s") for p in ok]
-        medians = [m for m in medians if m is not None]
-        if medians:
-            per_process[f"{side}_median"] = statistics.median(medians)
-            per_process[f"{side}_runs"] = len(medians)
-    out["process_setup_s"] = per_process
+    out["process_medians"] = {}
+    for key in better:
+        per_process = {}
+        for side in ("parent", "change"):
+            medians = [process_median(p[side], key) for p in ok]
+            medians = [m for m in medians if m is not None]
+            if medians:
+                per_process[f"{side}_median"] = statistics.median(medians)
+                per_process[f"{side}_runs"] = len(medians)
+        out["process_medians"][key] = per_process
     return out
 
 

@@ -97,6 +97,20 @@ def _emit(args, payload: dict) -> None:
     append_jsonl(payload, os.path.join(_out_dir(args), "summary.jsonl"))
 
 
+def _horizons(sec: dict, section: str, key: str, default) -> list:
+    """The horizon list ``sec[key]`` of [section]: whole numbers >= 1,
+    strictly increasing, so its first and last entries are its least and
+    greatest n."""
+    grid = config_numbers(sec, key, default, whole=True)
+    if min(grid) < 1:
+        raise ConfigError(f"{section}.{key}: horizons must be >= 1, got {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"{section}.{key}: horizons must be strictly increasing, got {grid}"
+        )
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -153,9 +167,7 @@ def cmd_shift_experiment(args) -> int:
         raise ConfigError("shift-experiment requires an atom_ladder increment law")
     # c = 0 is no ladder, only the degenerate table; any other c is the law's
     degenerate = "c" in law_map and config_number(law_map, "c") == 0.0
-    grid = config_numbers(read_section(cp, "shift"), "n_grid", _DRIVER_GRID, whole=True)
-    if min(grid) < 1:
-        raise ConfigError(f"shift.n_grid: horizons must be >= 1, got {grid}")
+    grid = _horizons(read_section(cp, "shift"), "shift", "n_grid", _DRIVER_GRID)
 
     if degenerate:
         rows = shift_driver_table(None, grid)
@@ -242,9 +254,7 @@ def cmd_tightness_probe(args) -> int:
     if cfg.mode != "classical":
         raise ConfigError("tightness-probe measures the classical statistic")
     probe_sec = read_section(cp, "probe")
-    horizons = config_numbers(probe_sec, "horizons", _PROBE_HORIZONS, whole=True)
-    if min(horizons) < 1:
-        raise ConfigError(f"probe.horizons: horizons must be >= 1, got {horizons}")
+    horizons = _horizons(probe_sec, "probe", "horizons", _PROBE_HORIZONS)
     y_grid = config_numbers(probe_sec, "y_grid", _PROBE_Y)
     rows = probe_exceedance(cfg, horizons, y_grid, threads=args.threads)
     print(f"exceedance frequencies of the centered max, R={cfg.replications}:")
@@ -286,8 +296,6 @@ def cmd_integral_test(args) -> int:
     a, b = config_number(sec, "a", 4.0), config_number(sec, "b", 0.0)
     d = config_number(sec, "d", 1, whole=True)
     n_max = config_number(sec, "n_max", 10**9, whole=True)
-    if not 10**5 <= n_max <= 10**9:
-        raise ConfigError(f"integral.n_max must be between 1e5 and 1e9, got {n_max}")
     try:
         phi = PhiFamily(a=a, b=b, d=d)
         probe = integral_test_partial_sums(phi, n_max=n_max)

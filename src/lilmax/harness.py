@@ -132,13 +132,10 @@ def apply_overrides(cp: configparser.ConfigParser, overrides: Sequence[str]) -> 
 
 
 # The keys a section may set, by the part of its name after the last dot; a
-# [reference] section sets the keys of [experiment].  A law or scheme
-# section may set those of any family; ``_from_family`` narrows them to the
-# family it names.
+# [reference] section sets the keys of [experiment].  A law or scheme section
+# sets ``family`` and the keys of the family it names.
 KNOWN_KEYS = {
     "experiment": ("name", "mode", "d", "n", "replications", "master_seed"),
-    "law": ("family", *dict.fromkeys(k for _, ks in FAMILIES.values() for k in ks)),
-    "scheme": ("family", *dict.fromkeys(k for _, ks in SCHEME_FAMILIES.values() for k in ks)),
     "shift": ("n_grid",),
     "probe": ("horizons", "y_grid"),
     "integral": ("a", "b", "d", "n_max"),
@@ -148,16 +145,20 @@ KNOWN_KEYS = {
 
 def read_section(cp: configparser.ConfigParser, name: str) -> dict:
     """The keys of section [name], or an empty dict when it is absent; a key
-    outside the section's ``KNOWN_KEYS`` is a config error, which lists the
-    keys of the family a law or scheme section names, if it is known."""
+    the section does not take is a config error that lists the keys it does.
+    A law or scheme section that names no known family is returned
+    unchecked, for ``read_law`` or ``read_scheme`` to refuse."""
     sec = dict(cp.items(name)) if cp.has_section(name) else {}
     kind = name.rsplit(".", 1)[-1]
-    known = KNOWN_KEYS["experiment" if kind == "reference" else kind]
+    families = {"law": FAMILIES, "scheme": SCHEME_FAMILIES}.get(kind)
+    if families is None:
+        known = KNOWN_KEYS["experiment" if kind == "reference" else kind]
+    elif sec.get("family") in families:
+        known = ("family", *families[sec["family"]][1])
+    else:
+        return sec
     unknown = sorted(set(sec) - set(known))
     if unknown:
-        families = {"law": FAMILIES, "scheme": SCHEME_FAMILIES}.get(kind, {})
-        if sec.get("family") in families:
-            known = ("family", *families[sec["family"]][1])
         raise ConfigError(
             f"unknown key {unknown[0]!r} in [{name}]; it takes {', '.join(known)}"
         )
@@ -217,19 +218,13 @@ def config_numbers(sec: dict, key: str, default, whole: bool = False) -> list:
     )
 
 
-def _from_family(kind: str, families: dict, m: dict, section: str, **given):
+def _from_family(kind: str, families: dict, m: dict, **given):
     """The ``kind`` that the family ``m`` names builds from ``given`` and the
-    keys ``m`` sets; a key that family does not take is a config error."""
+    keys ``m`` sets, which ``read_section`` has checked."""
     fam = m["family"]
     if fam not in families:
         raise ConfigError(f"bad {kind} section: unknown {kind} family {fam!r}")
     build, keys = families[fam]
-    foreign = sorted(set(m) - {"family", *keys})
-    if foreign:
-        raise ConfigError(
-            f"key {foreign[0]!r} in [{section}] does not apply to {kind} family "
-            f"{fam!r}, which takes {', '.join(keys)}"
-        )
     try:
         for key in keys:
             if key in m:
@@ -240,19 +235,6 @@ def _from_family(kind: str, families: dict, m: dict, section: str, **given):
         return build(**given)
     except ValueError as exc:
         raise ConfigError(f"bad {kind} section: {exc}") from exc
-
-
-def law_from_mapping(m: dict, d: int = 1, section: str = "*.law") -> IncrementLaw:
-    """The increment law of the law section ``section``; ``d`` when it sets none."""
-    if "family" not in m:
-        raise ConfigError("law section needs a 'family' key")
-    return _from_family("law", FAMILIES, m, section, d=d)
-
-
-def scheme_from_mapping(m: dict, section: str = "*.scheme") -> TruncationScheme:
-    """The truncation scheme of the scheme section ``section``, family
-    ``sqrt_n`` when it names none."""
-    return _from_family("scheme", SCHEME_FAMILIES, {"family": "sqrt_n", **m}, section)
 
 
 def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[TruncationScheme]:
@@ -266,7 +248,7 @@ def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[Truncat
                 f"[{section}.scheme] sets {', '.join(extra)} but names no scheme family"
             )
         return None
-    return scheme_from_mapping(m, f"{section}.scheme")
+    return _from_family("scheme", SCHEME_FAMILIES, m)
 
 
 def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> IncrementLaw:
@@ -278,7 +260,9 @@ def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> Increme
         raise ConfigError(
             f"[{section}] d = {d} disagrees with [{section}.law] d = {m['d']}"
         )
-    return law_from_mapping(m, d, f"{section}.law")
+    if "family" not in m:
+        raise ConfigError("law section needs a 'family' key")
+    return _from_family("law", FAMILIES, m, d=d)
 
 
 def experiment_from_parser(
@@ -288,9 +272,9 @@ def experiment_from_parser(
     """The experiment of [section], [section.law] and [section.scheme].
 
     With a ``base`` experiment, a field [section] does not set is the
-    base's, the law without [section.law] is the base law at this d, and the
+    base's, the law without [section.law] is the base law at this d, the
     master seed must differ from the base's, so the two samples are
-    independent.
+    independent, and so must the name, so neither CSV overwrites the other.
     """
     if not cp.has_section(section):
         raise ConfigError(f"config needs an [{section}] section")
@@ -310,6 +294,8 @@ def experiment_from_parser(
     seed = config_number(sec, "master_seed", whole=True)
     if base is not None and seed == base.master_seed:
         raise ConfigError(f"{section} master_seed must differ from the experiment's")
+    if base is not None and sec.get("name") == base.name:
+        raise ConfigError(f"{section} name must differ from the experiment's")
     return ExperimentConfig(
         name=sec.get("name", section if base is None else f"{base.name}_{section}"),
         law=law,

@@ -445,7 +445,7 @@ def integral_test_partial_sums(phi: PhiFamily, n_max: int = 10**9) -> IntegralPr
     log-integrand is not finite at some node.
     """
     if not (_EM_CHECK_FROM <= n_max <= 10**9):
-        raise ValueError("n_max must be between 1e5 and 1e9")
+        raise ValueError(f"n_max must be between 1e5 and 1e9, got {n_max}")
     # Below 10^9, LLLL n = 1 and u = LL n <= 3.04, so phi^2 = 2u + a max(1,
     # log u) + b.  It has an inner minimum only at u = -a/2 in (e, 3.04), and
     # there it exceeds phi^2(1) by 2(u - 1) + a(log u - 1) > 0, so its least

@@ -567,6 +567,48 @@ def test_bad_section_values_exit_2(tmp_path, capsys, command, item, message):
 @pytest.mark.parametrize(
     "command, item, message",
     [
+        ("tightness-probe", "probe.horizons=100000,1000",
+         "probe.horizons: horizons must be strictly increasing, got [100000, 1000]"),
+        ("tightness-probe", "probe.horizons=1000,1000",
+         "probe.horizons: horizons must be strictly increasing, got [1000, 1000]"),
+        ("shift-experiment", "shift.n_grid=1000,100",
+         "shift.n_grid: horizons must be strictly increasing, got [1000, 100]"),
+    ],
+)
+def test_horizons_not_increasing_exit_2(tmp_path, capsys, command, item, message):
+    """The probe judges drift from its first and last horizons, so a list out
+    of order, or with a repeat, once gave a verdict on the wrong pair of n."""
+    text = {"shift-experiment": SHIFT_INI, "tightness-probe": PROBE_INI}[command]
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", item]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, ini, name",
+    [("simulate", "ref", "cli_signs"), ("replay", "ref", "cli_signs"),
+     ("shift-experiment", "shift", "cli_shift")],
+)
+def test_reference_named_like_experiment_exits_2(tmp_path, capsys, command, ini, name):
+    """Both samples write <name>.csv, so a reference named like its
+    experiment once lost its CSV to the experiment's."""
+    cfg = _write(tmp_path, "c.ini", {"ref": REF_INI, "shift": SHIFT_INI}[ini])
+    out = tmp_path / "out"
+    args = [command, "--config", cfg, "--out", str(out), "--set", f"reference.name={name}"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: reference name must differ from the experiment's\n"
+    assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, item, message",
+    [
         ("tightness-probe", "probe.horizons=1000.7,2000.2", "whole numbers, got 1000.7"),
         ("shift-experiment", "shift.n_grid=100.9,1000", "whole numbers, got 100.9"),
         ("integral-test", "integral.n_max=123456.9", "'n_max' must be a whole number"),
@@ -697,17 +739,16 @@ def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
          "[experiment.scheme] sets levels but names no scheme family"),
         # a key some family takes, set for one that does not
         ("simulate", "gauss", ["experiment.law.c=0.3"],
-         "key 'c' in [experiment.law] does not apply to law family 'gaussian_iso'"),
+         "unknown key 'c' in [experiment.law]; it takes family, d\n"),
         ("tightness-probe", "probe", ["experiment.law.c=0.9"],
-         "key 'c' in [experiment.law] does not apply to law family 'atom_ladder_fat'"),
+         "unknown key 'c' in [experiment.law]; it takes family, d, k0\n"),
         ("simulate", "ref", ["experiment.scheme.q=5"],
-         "key 'q' in [experiment.scheme] does not apply to scheme family 'sqrt_n'"),
+         "unknown key 'q' in [experiment.scheme]; it takes family, n0\n"),
         ("replay", "ref", ["reference.scheme.family=sqrt_n", "reference.scheme.levels=1,2"],
-         "key 'levels' in [reference.scheme] does not apply to scheme family 'sqrt_n'"),
+         "unknown key 'levels' in [reference.scheme]; it takes family, n0\n"),
         ("shift-experiment", "shift", ["experiment.law.direction_mode=axes"],
          "'direction_mode' in [experiment.law]"),
-        # a section naming a known family lists that family's keys; one
-        # naming none, or an unknown one, lists those of every family
+        # a section naming a known family lists that family's keys
         ("simulate", "gauss", ["experiment.law.direction_mode=axes"],
          "'direction_mode' in [experiment.law]; it takes family, d\n"),
         ("tightness-probe", "probe", ["experiment.law.k=2"],
@@ -717,9 +758,9 @@ def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
         ("validate", None, ["experiment.scheme.family=table", "experiment.scheme.q0=1"],
          "'q0' in [experiment.scheme]; it takes family, levels, n0\n"),
         ("validate", None, ["experiment.scheme.n00=3"],
-         "'n00' in [experiment.scheme]; it takes family, n0, q, levels\n"),
+         "[experiment.scheme] sets n00 but names no scheme family\n"),
         ("simulate", "gauss", ["experiment.law.family=levy", "experiment.law.dd=3"],
-         "'dd' in [experiment.law]; it takes family, d, c, k0\n"),
+         "bad law section: unknown law family 'levy'\n"),
     ],
 )
 def test_unknown_config_keys_exit_2(tmp_path, capsys, command, ini, items, message):

@@ -23,15 +23,15 @@ from lilmax.harness import (
     experiment_summary,
     ks_one_sample,
     ks_two_sample,
-    law_from_mapping,
     load_config_parser,
+    read_law,
     read_records_csv,
+    read_scheme,
     record_row,
     reference_from_parser,
     replication_seed,
     run_and_persist,
     run_experiment,
-    scheme_from_mapping,
     write_records_csv,
 )
 from lilmax import models as M
@@ -214,6 +214,16 @@ def test_config_dataclass_validation():
         _cfg(mode="feller", scheme=sqrt_n(), law=gaussian_iso(2))
 
 
+def _read_law(mapping: dict):
+    cp = load_config_parser(None, [f"experiment.law.{k}={v}" for k, v in mapping.items()])
+    return read_law(cp, "experiment")
+
+
+def _read_scheme(mapping: dict):
+    cp = load_config_parser(None, [f"experiment.scheme.{k}={v}" for k, v in mapping.items()])
+    return read_scheme(cp, "experiment")
+
+
 def test_law_id_and_mapping_roundtrip():
     laws = [
         M.gaussian_iso(1), M.gaussian_iso(3), M.rademacher_product(1),
@@ -221,6 +231,8 @@ def test_law_id_and_mapping_roundtrip():
         M.uniform_cube(5), M.atom_ladder(0.5, 2, d=1),
         M.atom_ladder(0.5, 1, d=2), M.atom_ladder_fat(2, d=3),
     ]
+    # a new family cannot land without a case here
+    assert {law.family for law in laws} == set(M.FAMILIES)
     for law in laws:
         assert M.law_id(law)
         mapping = {"family": law.family, "d": str(law.d)}
@@ -228,14 +240,14 @@ def test_law_id_and_mapping_roundtrip():
             mapping.update(c=str(law.c), k0=str(law.k0))
         if law.family == "atom_ladder_fat":
             mapping.update(k0=str(law.k0))
-        assert law_from_mapping(mapping) == law
+        assert _read_law(mapping) == law
     # a key a section leaves out takes the constructor's default
-    assert law_from_mapping({"family": "atom_ladder"}) == M.atom_ladder()
-    assert law_from_mapping({"family": "atom_ladder_fat"}) == M.atom_ladder_fat()
+    assert _read_law({"family": "atom_ladder"}) == M.atom_ladder()
+    assert _read_law({"family": "atom_ladder_fat"}) == M.atom_ladder_fat()
     with pytest.raises(ValueError):
-        law_from_mapping({"d": "2"})
+        _read_law({"d": "2"})
     with pytest.raises(ValueError):
-        law_from_mapping({"family": "levy"})
+        _read_law({"family": "levy"})
 
 
 def test_scheme_mapping_roundtrip():
@@ -250,12 +262,13 @@ def test_scheme_mapping_roundtrip():
          T.table_scheme([1.5, 2.5, 3.5], n0=2)),
         ({"family": "table", "levels": "1.5, 2.5,"}, T.table_scheme([1.5, 2.5], n0=1)),
     ]
+    # a new family cannot land without a case here
+    assert {mapping["family"] for mapping, _ in cases} == set(T.SCHEME_FAMILIES)
     for mapping, want in cases:
-        assert scheme_from_mapping(mapping) == want
-    assert scheme_from_mapping({}) == T.sqrt_n()
-    assert scheme_from_mapping({"family": "sqrt_n_polylog"}) == T.sqrt_n_polylog(0.0)
+        assert _read_scheme(mapping) == want
+    assert _read_scheme({"family": "sqrt_n_polylog"}) == T.sqrt_n_polylog(0.0)
     with pytest.raises(ValueError):
-        scheme_from_mapping({"family": "exp_n"})
+        _read_scheme({"family": "exp_n"})
 
 
 def test_table_levels_must_be_finite():
@@ -263,7 +276,7 @@ def test_table_levels_must_be_finite():
     # alone let it through; 1e400 parses to inf
     for levels in ("nan,1,2", "1,nan", "1e400", "1,2,inf"):
         with pytest.raises(ValueError, match="finite"):
-            scheme_from_mapping({"family": "table", "levels": levels})
+            _read_scheme({"family": "table", "levels": levels})
 
 
 # (dotted key, value, spellings): every spelling of a whole-number key must
