@@ -3,18 +3,18 @@
     python3 scripts/csv_matrix.py [--parent REV]
 
 The parent revision (default ``HEAD``) is extracted with ``git archive`` into
-a temporary directory.  On each side, ``lilmax simulate`` runs 21 configs,
+a temporary directory.  On each side, ``lilmax simulate`` runs 22 configs,
 each into its own output directory, at ``--seed 1608 --set
 experiment.replications=12``: the four bundled configs, ``gaussian_d1.ini``
 in feller mode with ``sqrt_n``, ``rademacher_d1_selfnorm.ini`` with
-``uniform_cube`` at d = 2, 3, 4, 7, 8 and at d = 8 with ``sqrt_n_invLL5``
+``uniform_cube`` at d = 1, 2, 3, 4, 7, 8 and at d = 8 with ``sqrt_n_invLL5``
 (each with its Gaussian reference), ``gaussian_d1.ini`` at d = 3, 4, 7, 8,
 and ``gaussian_d1.ini`` in self_normalized mode with ``sqrt_n_invLL5``,
 with ``sqrt_n_polylog`` q = -2.5 (``GammaSequence`` index floor n0 = 239,
 2224 spans) and, on ``atom_ladder`` c = 0.5, with ``sqrt_n`` at d = 1 and
 d = 2, and ``gaussian_d1.ini`` at n = 3000 in self_normalized and in feller
 mode with a ``table`` scheme of 4000 levels c_k = 0.9 sqrt(k) + 0.05, which
-write 29 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index floor n0 =
+write 31 CSVs.  The d = 8 ``sqrt_n_invLL5`` cube has its index floor n0 =
 10268 past the per-index region of ``GammaSequence`` (its reference 5458), so
 the search between two checkpoints is compared too.
 ``lilmax shift-experiment`` on ``shift_ladder.ini`` and ``lilmax
@@ -76,7 +76,7 @@ SIMULATE = [
 ] + [
     (f"cube_d{d}", "simulate", "rademacher_d1_selfnorm.ini",
      ["experiment.law.family=uniform_cube", f"experiment.d={d}"])
-    for d in (2, 3, 4, 7, 8)
+    for d in (1, 2, 3, 4, 7, 8)
 ] + [
     ("cube_d8_invLL5", "simulate", "rademacher_d1_selfnorm.ini",
      ["experiment.law.family=uniform_cube", "experiment.d=8",

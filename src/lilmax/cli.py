@@ -53,7 +53,7 @@ from .limits import (
     integral_test_classify,
     integral_test_partial_sums,
 )
-from .models import gaussian_iso, law_id, radial_profile
+from .models import law_id, radial_profile
 from .truncation import (
     scheme_id,
     sqrt_n,
@@ -97,18 +97,32 @@ def _emit(args, payload: dict) -> None:
     append_jsonl(payload, os.path.join(_out_dir(args), "summary.jsonl"))
 
 
+def _increasing(values: list, name: str, noun: str) -> list:
+    """``values``, the list ``name`` of ``noun``, when strictly increasing:
+    no entry repeats, and the first and last are the least and greatest."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{name}: {noun} must be strictly increasing, got {values}")
+    return values
+
+
 def _horizons(sec: dict, section: str, key: str, default) -> list:
     """The horizon list ``sec[key]`` of [section]: whole numbers >= 1,
-    strictly increasing, so its first and last entries are its least and
-    greatest n."""
+    strictly increasing."""
     grid = config_numbers(sec, key, default, whole=True)
     if min(grid) < 1:
         raise ConfigError(f"{section}.{key}: horizons must be >= 1, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(
-            f"{section}.{key}: horizons must be strictly increasing, got {grid}"
-        )
-    return grid
+    return _increasing(grid, f"{section}.{key}", "horizons")
+
+
+def _classical_experiment(cp, command: str, family: str) -> ExperimentConfig:
+    """The experiment of ``cp``, read as ``simulate`` reads it, for a
+    ``command`` that measures the classical statistic of a ``family`` law."""
+    cfg = experiment_from_parser(cp)
+    if cfg.law.family != family:
+        raise ConfigError(f"{command} requires the {family} increment law")
+    if cfg.mode != "classical":
+        raise ConfigError(f"{command} measures the classical statistic")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +158,11 @@ def shift_driver_table(law, ns: Sequence[int]) -> list[dict]:
     """Deterministic centering drift (1 - sigma_n) * b_n on a horizon grid.
 
     sigma_n is the standard deviation retained after truncating the law at
-    sqrt(n), and b_n = b_{1,n}, so the table is for d = 1; with no law (the
-    degenerate zero-shift case) the drift is 0.
+    sqrt(n), and b_n = b_{1,n}, so the table is for d = 1.
     """
     rows = []
     for n in ns:
-        if law is None:
-            sigma = 1.0
-        else:
-            sigma = float(np.sqrt(radial_profile(law, float(np.sqrt(n)))))
+        sigma = float(np.sqrt(radial_profile(law, float(np.sqrt(n)))))
         b = normalizers(int(n), 1).b_dn
         rows.append(
             {"n": int(n), "sigma_n": sigma, "driver": (1.0 - sigma) * b}
@@ -162,24 +172,8 @@ def shift_driver_table(law, ns: Sequence[int]) -> list[dict]:
 
 def cmd_shift_experiment(args) -> int:
     cp = _parser_from_args(args)
-    law_map = read_section(cp, "experiment.law")
-    if law_map.get("family") != "atom_ladder":
-        raise ConfigError("shift-experiment requires an atom_ladder increment law")
-    # c = 0 is no ladder, only the degenerate table; any other c is the law's
-    degenerate = "c" in law_map and config_number(law_map, "c") == 0.0
+    cfg = _classical_experiment(cp, "shift-experiment", "atom_ladder")
     grid = _horizons(read_section(cp, "shift"), "shift", "n_grid", _DRIVER_GRID)
-
-    if degenerate:
-        rows = shift_driver_table(None, grid)
-        print("degenerate c=0 ladder: driver is identically 0, skipping Monte Carlo")
-        for row in rows:
-            print(f"  n={row['n']:>10d}  sigma_n={row['sigma_n']:.6f}  driver={row['driver']:.6f}")
-        _emit(args, {"command": "shift-experiment", "c": 0.0, "driver": rows})
-        return 0
-
-    cfg = experiment_from_parser(cp)
-    if cfg.mode != "classical":
-        raise ConfigError("shift-experiment measures the classical statistic")
     if cfg.d != 1:
         # the driver (1 - sigma_n) b_{1,n} centers the d = 1 statistic only
         raise ConfigError(f"shift-experiment is defined for d = 1, got d = {cfg.d}")
@@ -244,18 +238,13 @@ def probe_exceedance(cfg: ExperimentConfig, horizons, y_grid, threads=1) -> list
 
 def cmd_tightness_probe(args) -> int:
     cp = _parser_from_args(args)
-    law_map = read_section(cp, "experiment.law")
-    if law_map.get("family") != "atom_ladder_fat":
-        raise ConfigError(
-            "tightness-probe requires the atom_ladder_fat increment law "
-            "(tight families have nothing to show here)"
-        )
-    cfg = experiment_from_parser(cp)
-    if cfg.mode != "classical":
-        raise ConfigError("tightness-probe measures the classical statistic")
+    cfg = _classical_experiment(cp, "tightness-probe", "atom_ladder_fat")
     probe_sec = read_section(cp, "probe")
     horizons = _horizons(probe_sec, "probe", "horizons", _PROBE_HORIZONS)
-    y_grid = config_numbers(probe_sec, "y_grid", _PROBE_Y)
+    # each threshold keys its own frequency, so none may repeat
+    y_grid = _increasing(
+        config_numbers(probe_sec, "y_grid", _PROBE_Y), "probe.y_grid", "thresholds"
+    )
     rows = probe_exceedance(cfg, horizons, y_grid, threads=args.threads)
     print(f"exceedance frequencies of the centered max, R={cfg.replications}:")
     header = "  ".join(f"P(>{y:g})" for y in y_grid)
@@ -404,7 +393,10 @@ def cmd_tail_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     cp = _parser_from_args(args)
-    law = read_law(cp, "experiment") if cp.has_section("experiment.law") else gaussian_iso(1)
+    if not cp.has_section("experiment.law"):
+        # the default law is the Gaussian at the [experiment] d
+        cp.read_dict({"experiment.law": {"family": "gaussian_iso"}})
+    law = read_law(cp, "experiment")
     scheme = read_scheme(cp, "experiment")
     if scheme is not None:
         schemes = {scheme_id(scheme): scheme}

@@ -331,9 +331,11 @@ def test_shift_experiment_driver_and_medians(tmp_path, capsys):
     assert "median" in payload and "reference_median" in payload
 
 
-def test_shift_experiment_rejects_other_laws(tmp_path):
+def test_shift_experiment_rejects_other_laws(tmp_path, capsys):
     cfg = _write(tmp_path, "g.ini", GAUSS_INI)
     assert main(["shift-experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: shift-experiment requires the atom_ladder increment law\n"
 
 
 def test_shift_experiment_rejects_d_above_1(tmp_path, capsys):
@@ -346,19 +348,24 @@ def test_shift_experiment_rejects_d_above_1(tmp_path, capsys):
     assert not (out / "summary.jsonl").exists()
 
 
-def test_shift_experiment_degenerate_c0(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra",
+    ["experiment.law.c=0", "experiment.d=2", "experiment.mode=feller",
+     "experiment.n=-5", "experiment.replications=0", "reference.master_seed=701"],
+)
+def test_shift_experiment_refuses_c0_as_simulate_does(tmp_path, capsys, extra):
+    """c = 0 is no atom_ladder law: the experiment is read as simulate reads
+    it, so no other key of a c = 0 config is ever run or reported."""
     cfg = _write(tmp_path, "s.ini", SHIFT_INI)
     out = tmp_path / "out"
-    code = main(
-        [
-            "shift-experiment", "--config", cfg, "--out", str(out),
-            "--set", "experiment.law.c=0",
-        ]
-    )
-    assert code == 0
-    payload = _summaries(out)[-1]
-    assert all(row["driver"] == 0.0 for row in payload["driver"])
-    assert "median" not in payload
+    for command in ("simulate", "shift-experiment"):
+        args = [command, "--config", cfg, "--out", str(out),
+                "--set", "experiment.law.c=0", "--set", extra]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: bad law section: atom_ladder needs c > 0\n"
+        assert not (out / "summary.jsonl").exists()
 
 
 def test_shift_driver_table_monotone_approach():
@@ -407,6 +414,22 @@ def test_tightness_probe_rejects_tight_laws(tmp_path, capsys):
     cfg = _write(tmp_path, "g.ini", GAUSS_INI)
     assert main(["tightness-probe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "atom_ladder_fat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, family",
+    [("shift-experiment", "atom_ladder"), ("tightness-probe", "atom_ladder_fat")],
+)
+def test_classical_probes_reject_the_other_ladder(tmp_path, capsys, command, family):
+    # each ladder config reads as a valid experiment, of the other command's law
+    text = {"shift-experiment": PROBE_INI, "tightness-probe": SHIFT_INI}[command]
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {command} requires the {family} increment law\n"
+    assert not (out / "summary.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +596,14 @@ def test_bad_section_values_exit_2(tmp_path, capsys, command, item, message):
          "probe.horizons: horizons must be strictly increasing, got [1000, 1000]"),
         ("shift-experiment", "shift.n_grid=1000,100",
          "shift.n_grid: horizons must be strictly increasing, got [1000, 100]"),
+        ("tightness-probe", "probe.y_grid=0,0.0,1",
+         "probe.y_grid: thresholds must be strictly increasing, got [0.0, 0.0, 1.0]"),
     ],
 )
 def test_horizons_not_increasing_exit_2(tmp_path, capsys, command, item, message):
     """The probe judges drift from its first and last horizons, so a list out
-    of order, or with a repeat, once gave a verdict on the wrong pair of n."""
+    of order, or with a repeat, once gave a verdict on the wrong pair of n;
+    and a repeated threshold once printed two columns for one frequency."""
     text = {"shift-experiment": SHIFT_INI, "tightness-probe": PROBE_INI}[command]
     cfg = _write(tmp_path, "c.ini", text)
     out = tmp_path / "out"
@@ -682,6 +708,17 @@ def test_validate_reads_the_law_and_scheme_it_is_given(tmp_path, capsys):
     assert main(["validate", "--out", str(out), *fat, "--set", "experiment.d=2",
                  "--set", "experiment.law.d=1"]) == 2
     assert "disagrees" in capsys.readouterr().err
+    # with no law section, the Gaussian law at the [experiment] d
+    assert main(["validate", "--out", str(out), "--set", "experiment.d=3"]) == 0
+    rows = {row["check"]: row["result"] for row in _summaries(out)[-1]["rows"]}
+    assert rows["tail condition small_o gaussian_iso-d3"] == "PASS"
+    assert "gaussian_iso-d3" in capsys.readouterr().out
+    count = len(_summaries(out))
+    assert main(["validate", "--out", str(out), "--set", "experiment.d=2.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: key 'd' must be a whole number, got '2.5'\n"
+    assert len(_summaries(out)) == count
 
 
 def test_validate_table_scheme_uses_the_grid_it_covers(tmp_path, capsys):
