@@ -23,10 +23,11 @@ that take no ``--seed`` run without it: ``lilmax integral-test`` with no
 config on the three boundary cells (d, a, b) = (1, 2, 1), (2, 4, 3) and
 (3, 5, 2), once at the default ``integral.n_max`` and once at 123457, which
 is not a multiple of the probe's block size, and at a = 1e20, whose slopes
-are large but finite; ``lilmax validate`` with no
-config, on ``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2, with the
-same table, on ``uniform_cube`` d = 3, on ``rademacher_product`` d = 2 and
-on ``tightness_fat.ini``; and ``lilmax tail-bounds``: 17 subcommand runs.
+are large but finite; ``lilmax validate`` with no config, once as it is
+and once at ``experiment.d=2`` (no law section, so the Gaussian at d = 2), on
+``shift_ladder.ini``, with ``sqrt_n_polylog`` q = 2, with the same table, on
+``uniform_cube`` d = 3, on ``rademacher_product`` d = 2 and on
+``tightness_fat.ini``; and ``lilmax tail-bounds``: 18 subcommand runs.
 Each side uses its own ``configs/``.
 
 Every run must exit 0 and match the parent in its CSV bytes, its standard
@@ -106,6 +107,7 @@ COMMANDS = [
     ("shift_ladder_cmd", "shift-experiment", "shift_ladder.ini", []),
     ("tightness_fat_cmd", "tightness-probe", "tightness_fat.ini", []),
     ("validate_default", "validate", None, []),
+    ("validate_gauss_d2", "validate", None, ["experiment.d=2"]),
     ("validate_shift_ladder", "validate", "shift_ladder.ini", []),
     ("validate_polylog", "validate", None,
      ["experiment.scheme.family=sqrt_n_polylog", "experiment.scheme.q=2"]),

@@ -180,6 +180,14 @@ def cmd_shift_experiment(args) -> int:
     ref = reference_from_parser(cp, cfg)
     if ref is None:
         raise ConfigError("shift-experiment needs a [reference] section for the median comparison")
+    # the gap measures the shift only against the classical Gaussian d = 1 walk
+    # at the experiment's horizon; replications change only the noise
+    for key, got, want in (
+        ("law", law_id(ref.law), "gaussian_iso-d1"), ("mode", ref.mode, "classical"),
+        ("n", ref.n, cfg.n),
+    ):
+        if got != want:
+            raise ConfigError(f"shift-experiment needs [reference] {key} = {want}, got {got}")
 
     rows = shift_driver_table(cfg.law, grid)
     c = cfg.law.c
@@ -393,9 +401,6 @@ def cmd_tail_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     cp = _parser_from_args(args)
-    if not cp.has_section("experiment.law"):
-        # the default law is the Gaussian at the [experiment] d
-        cp.read_dict({"experiment.law": {"family": "gaussian_iso"}})
     law = read_law(cp, "experiment")
     scheme = read_scheme(cp, "experiment")
     if scheme is not None:

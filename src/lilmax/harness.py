@@ -9,8 +9,9 @@ Config files are INI-style.  The [experiment] section carries the scalar
 fields; the increment law and truncation scheme live in the sub-sections
 [experiment.law] and [experiment.scheme].  An optional [reference] section
 (with its own optional sub-sections) describes a second experiment that
-inherits any field it does not override, which is how a same-horizon
-Gaussian baseline is attached to a two-sample comparison.
+inherits any field it does not override but the law, the Gaussian at its d
+unless [reference.law] names one: a same-horizon Gaussian baseline for a
+two-sample comparison.
 
 Every number in a config, the CLI's own sections included, is read by
 ``parse_number``: it must be finite, and a whole-number key also accepts
@@ -25,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -252,9 +253,11 @@ def read_scheme(cp: configparser.ConfigParser, section: str) -> Optional[Truncat
 
 
 def read_law(cp: configparser.ConfigParser, section: str, d: int = 1) -> IncrementLaw:
-    """The law of [section.law]; its ``d`` is that of [section] or of the law
-    section, which must agree when both set one, else ``d``."""
+    """The law of [section.law], ``gaussian_iso`` when that section is absent;
+    its ``d`` is that of [section] or of the law section, which must agree
+    when both set one, else ``d``."""
     sec, m = read_section(cp, section), read_section(cp, f"{section}.law")
+    m = m if cp.has_section(f"{section}.law") else {"family": "gaussian_iso"}
     d = config_number(sec, "d", d, whole=True)
     if "d" in sec and "d" in m and config_number(m, "d", whole=True) != d:
         raise ConfigError(
@@ -271,23 +274,17 @@ def experiment_from_parser(
 ) -> ExperimentConfig:
     """The experiment of [section], [section.law] and [section.scheme].
 
-    With a ``base`` experiment, a field [section] does not set is the
-    base's, the law without [section.law] is the base law at this d, the
-    master seed must differ from the base's, so the two samples are
-    independent, and so must the name, so neither CSV overwrites the other.
+    The law is ``read_law``'s, which a run's own experiment must name.  Any
+    other field [section] does not set is that of a ``base`` experiment, whose
+    master seed it must not share, so the two samples are independent, nor
+    its name, so neither CSV overwrites the other.
     """
     if not cp.has_section(section):
         raise ConfigError(f"config needs an [{section}] section")
     sec = read_section(cp, section)
-    if cp.has_section(f"{section}.law"):
-        law = read_law(cp, section, getattr(base, "d", 1))
-    elif base is None:
+    if base is None and not cp.has_section(f"{section}.law"):
         raise ConfigError(f"config needs an [{section}.law] section")
-    else:
-        try:
-            law = replace(base.law, d=config_number(sec, "d", base.d, whole=True))
-        except ValueError as exc:
-            raise ConfigError(f"bad [{section}] d: {exc}") from exc
+    law = read_law(cp, section, getattr(base, "d", 1))
     scheme = getattr(base, "scheme", None)
     if cp.has_section(f"{section}.scheme"):
         scheme = read_scheme(cp, section)

@@ -54,8 +54,6 @@ def _log_chain(t, depth: int) -> list:
 class NormalizerSet:
     """Scale/centering pair for the running-max statistics at horizon n."""
 
-    n: float
-    d: int
     a_n: float
     b_dn: float
 
@@ -77,4 +75,4 @@ def normalizers(n, d: int) -> NormalizerSet:
     lll = iterlog(n, 3)
     a_n = math.sqrt(2.0 * ll)
     b_dn = 2.0 * ll + 0.5 * d * lll - math.lgamma(0.5 * d)
-    return NormalizerSet(n=float(n), d=d, a_n=a_n, b_dn=b_dn)
+    return NormalizerSet(a_n=a_n, b_dn=b_dn)

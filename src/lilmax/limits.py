@@ -179,9 +179,6 @@ class GaussianTailBounds:
     the cost of the factor 2.
     """
 
-    x: np.ndarray
-    trace: float
-    sigma2_max: float
     bound_sigma: np.ndarray
     sigma_applicable: np.ndarray
     bound_trace: np.ndarray
@@ -198,9 +195,6 @@ def gaussian_norm_tail_bound(x, trace: float, sigma2_max: float) -> GaussianTail
     bound_sigma = np.exp(-(x * x) / (8.0 * sigma2_max))
     bound_trace = 2.0 * np.exp(-(x * x) / (8.0 * trace))
     return GaussianTailBounds(
-        x=x,
-        trace=float(trace),
-        sigma2_max=float(sigma2_max),
         bound_sigma=bound_sigma,
         sigma_applicable=x >= 2.0 * trace,
         bound_trace=bound_trace,

@@ -368,6 +368,56 @@ def test_shift_experiment_refuses_c0_as_simulate_does(tmp_path, capsys, extra):
         assert not (out / "summary.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["reference.d=2"], "law = gaussian_iso-d1, got gaussian_iso-d2"),
+        (["reference.n=100"], "n = 2000, got 100"),
+        (["reference.mode=feller", "reference.scheme.family=sqrt_n"],
+         "mode = classical, got feller"),
+        (["reference.law.family=atom_ladder"],
+         "law = gaussian_iso-d1, got atom_ladder-d1-c0.5-k02-sphere"),
+        (["reference.law.family=rademacher_product"],
+         "law = gaussian_iso-d1, got rademacher_product-d1"),
+    ],
+    ids=["d2", "n100", "feller", "atom_ladder", "rademacher_product"],
+)
+def test_shift_experiment_refuses_a_reference_it_cannot_compare(
+    tmp_path, capsys, sets, message
+):
+    """The gap measures the shift only against the classical gaussian_iso(1)
+    walk at the experiment's n; each of these once printed a gap and exited 0."""
+    cfg = os.path.join(CONFIGS, "shift_ladder.ini")
+    out = tmp_path / "out"
+    small = ["experiment.replications=10", "experiment.n=2000", *sets]
+    assert main(["shift-experiment", "--config", cfg, "--out", str(out),
+                 *[arg for item in small for arg in ("--set", item)]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: shift-experiment needs [reference] {message}\n"
+    assert not (out / "summary.jsonl").exists()
+
+
+def test_shift_experiment_reference_without_law_section_is_gaussian(tmp_path, capsys):
+    """With [reference.law] removed, the reference is the Gaussian d = 1 walk
+    and replications may differ; before, it was the ladder under another seed."""
+    with open(os.path.join(CONFIGS, "shift_ladder.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "[reference.law]\nfamily = gaussian_iso\n" in text
+    cfg = _write(tmp_path, "s.ini", text.replace("[reference.law]\nfamily = gaussian_iso\n", ""))
+    out = tmp_path / "out"
+    assert main(["shift-experiment", "--config", cfg, "--out", str(out),
+                 "--set", "experiment.replications=10", "--set", "experiment.n=2000",
+                 "--set", "reference.replications=6"]) == 0
+    ref, exp, payload = _summaries(out)
+    assert (ref["experiment"], ref["law"], ref["mode"]) == (
+        "shift_gaussian_ref", "gaussian_iso-d1", "classical")
+    assert (ref["n"], ref["replications"]) == (2000, 6)
+    assert exp["law"] == "atom_ladder-d1-c0.5-k02-sphere"
+    assert payload["reference_median"] == ref["quantiles"]["q50"]
+    assert "(downward shift expected)" in capsys.readouterr().out
+
+
 def test_shift_driver_table_monotone_approach():
     rows = shift_driver_table(atom_ladder(c=0.5), [10**j for j in range(4, 9)])
     drivers = [row["driver"] for row in rows]

@@ -177,8 +177,9 @@ def test_config_reference_needs_distinct_seed(tmp_path):
 
 
 def test_config_reference_d_without_law_section(tmp_path):
-    """A [reference] d with no [reference.law] builds the experiment's law
-    family at that d: the reference runs, and is summarized, in d = 2."""
+    """A [reference] d with no [reference.law] reads the Gaussian at that d,
+    as ``read_law`` does for every section: the reference runs, and is
+    summarized, in d = 2, and a bad d is refused by the law's own check."""
     text = BASIC_INI.replace("[reference.law]\nfamily = gaussian_iso\n", "")
     text = text.replace("n = 4000\nreplications = 6", "n = 300\nreplications = 3")
     text = text.replace("master_seed = 456\n", "master_seed = 456\nd = 2\n")
@@ -188,12 +189,15 @@ def test_config_reference_d_without_law_section(tmp_path):
     cfg = experiment_from_parser(cp)
     ref = reference_from_parser(cp, cfg)
     assert cfg.law == rademacher_product(1)
-    assert ref.law == rademacher_product(2)
+    assert ref.law == gaussian_iso(2)
     records, _ = run_and_persist(ref, str(tmp_path / "out"))
     assert {r.d for r in records} == {2}
     lines = (tmp_path / "out" / "summary.jsonl").read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0])["d"] == 2
-    with pytest.raises(ConfigError, match=r"\[reference\] d"):
+    assert json.loads(lines[0])["law"] == "gaussian_iso-d2"
+    with pytest.raises(
+        ConfigError, match=r"^bad law section: dimension must be in 1\.\.8, got 9$"
+    ):
         reference_from_parser(load_config_parser(str(path), ["reference.d=9"]), cfg)
 
 
@@ -248,6 +252,23 @@ def test_law_id_and_mapping_roundtrip():
         _read_law({"d": "2"})
     with pytest.raises(ValueError):
         _read_law({"family": "levy"})
+
+
+def test_read_law_without_a_law_section_is_the_gaussian_at_its_d():
+    """An absent law section is ``gaussian_iso`` at the section's d (else the
+    ``d`` argument); a present one must still name its family."""
+    assert read_law(load_config_parser(None), "experiment") == gaussian_iso(1)
+    cp = load_config_parser(None, ["experiment.d=3", "reference.master_seed=2"])
+    assert read_law(cp, "experiment") == gaussian_iso(3)
+    assert read_law(cp, "reference", d=5) == gaussian_iso(5)
+    assert read_law(load_config_parser(None, ["reference.d=2"]), "reference", 5) == gaussian_iso(2)
+    for sets in (["experiment.law.d=2"], ["experiment.d=2", "experiment.law.d=2"]):
+        with pytest.raises(ConfigError, match=r"^law section needs a 'family' key$"):
+            read_law(load_config_parser(None, sets), "experiment")
+    cp = load_config_parser(None)
+    cp.add_section("experiment.law")  # present, but empty
+    with pytest.raises(ConfigError, match=r"^law section needs a 'family' key$"):
+        read_law(cp, "experiment")
 
 
 def test_scheme_mapping_roundtrip():

@@ -305,8 +305,9 @@ def test_tail_bound_mc_domination_isotropic_d2():
     rng = np.random.default_rng(77)
     y = rng.standard_normal((2_000_000, 2))
     norms = np.linalg.norm(y, axis=1)
-    b = gaussian_norm_tail_bound(np.array([4.0, 5.0, 6.0]), trace=2.0, sigma2_max=1.0)
-    for x, bt in zip(b.x, b.bound_trace):
+    xs = np.array([4.0, 5.0, 6.0])
+    b = gaussian_norm_tail_bound(xs, trace=2.0, sigma2_max=1.0)
+    for x, bt in zip(xs, b.bound_trace):
         freq = float(np.mean(norms >= x))
         assert freq <= bt
 
